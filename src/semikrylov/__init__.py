@@ -2,10 +2,11 @@
 systems and rank-deficient least squares problems.
 
 The solvers (plain CG, CGLS, CGNE) record complete iteration traces. A
-spectral oracle (Jacobi eigendecomposition, one-sided Jacobi SVD, and the
-pseudoinverse built on them) provides ground truth: iterates can be split
-into range and null-space components to verify minimum-norm convergence,
-null-space stagnation and confinement, and geometric energy-norm bounds.
+spectral oracle (LAPACK eigendecomposition and SVD via numpy, accurate
+relative to ||A||, and the pseudoinverse built on them) provides ground
+truth: iterates can be split into range and null-space components to
+verify minimum-norm convergence, null-space stagnation and confinement,
+and geometric energy-norm bounds.
 """
 
 from .bounds import BoundReport, cg_bound_verify, cgls_bound_verify, cgne_bound_verify

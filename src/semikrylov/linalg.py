@@ -1,9 +1,8 @@
 """Dense matrix/vector validation, symmetric eigendecomposition, and SVD.
 
-Everything is plain float64 numpy. The eigensolver is a cyclic Jacobi
-iteration and the SVD is one-sided Jacobi on the columns: both are simple,
-accurate at the dense desk scale this library targets (up to roughly a
-thousand rows), and keep the dependency surface to numpy alone. They also
+Everything is plain float64 numpy. The eigendecomposition and the SVD are
+LAPACK via numpy (``np.linalg.eigh`` and ``np.linalg.svd``), with accuracy
+relative to ||A||, the same scale the numerical rank cut is taken at. They
 serve as the spectral ground truth every solver diagnostic is checked
 against, so they are deliberately independent of the iterative methods.
 """
@@ -17,13 +16,10 @@ import numpy as np
 DEFAULT_RANK_TOL = 1e-10
 
 _SYMMETRY_TOL = 1e-12
-_JACOBI_OFF_TOL = 1e-14
-_JACOBI_SWEEP_CAP = 100
-_ORTHO_SKIP = 1e-15  # sweep skips column pairs already this orthogonal
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when a Jacobi iteration exhausts its sweep budget."""
+    """Raised when LAPACK's eigensolver or SVD fails to converge."""
 
 
 def as_matrix(a) -> np.ndarray:
@@ -154,11 +150,6 @@ class SingularDecomposition:
         return self.v[:, :k] @ (self.sigmas * (self.u[:, :k].T @ y))
 
 
-def _offdiag_norm(b: np.ndarray) -> float:
-    off = b - np.diag(np.diag(b))
-    return float(np.linalg.norm(off))
-
-
 def _numerical_rank(values: np.ndarray, rank_tol: float) -> int:
     if values.size == 0:
         return 0
@@ -166,42 +157,12 @@ def _numerical_rank(values: np.ndarray, rank_tol: float) -> int:
     return int(np.sum(values > cut))
 
 
-def _jacobi_rotate(b: np.ndarray, vecs: np.ndarray, p: int, q: int) -> None:
-    """One two-sided rotation zeroing b[p, q] (and b[q, p]) in place."""
-    apq = b[p, q]
-    if apq == 0.0:
-        return
-    tau = (b[q, q] - b[p, p]) / (2.0 * apq)
-    if tau >= 0.0:
-        t = 1.0 / (tau + np.hypot(1.0, tau))
-    else:
-        t = 1.0 / (tau - np.hypot(1.0, tau))
-    c = 1.0 / np.hypot(1.0, t)
-    s = t * c
-
-    bp = b[:, p].copy()
-    bq = b[:, q].copy()
-    b[:, p] = c * bp - s * bq
-    b[:, q] = s * bp + c * bq
-    bp = b[p, :].copy()
-    bq = b[q, :].copy()
-    b[p, :] = c * bp - s * bq
-    b[q, :] = s * bp + c * bq
-    b[p, q] = 0.0
-    b[q, p] = 0.0
-
-    vp = vecs[:, p].copy()
-    vq = vecs[:, q].copy()
-    vecs[:, p] = c * vp - s * vq
-    vecs[:, q] = s * vp + c * vq
-
-
 def symmetric_eig(a, rank_tol: float = DEFAULT_RANK_TOL) -> SpectralDecomposition:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix by LAPACK (``np.linalg.eigh``).
 
-    Sweeps run until the off-diagonal Frobenius norm falls to
-    1e-14 * ||A||_F, with a hard cap of 100 sweeps. Eigenpairs come back
-    sorted by eigenvalue, descending, stable on ties.
+    The input is symmetrised as 0.5 (A + A^T) before the call. Eigenvalues
+    are accurate relative to ||A||, which is the scale the rank cut uses.
+    Eigenpairs come back sorted by eigenvalue, descending.
 
     Raises
     ------
@@ -209,7 +170,7 @@ def symmetric_eig(a, rank_tol: float = DEFAULT_RANK_TOL) -> SpectralDecompositio
         If the matrix is not square, not symmetric within 1e-12 relative
         in the max-norm, or rank_tol is not positive.
     ConvergenceError
-        If the sweep cap is reached before the off-diagonal target.
+        If LAPACK reports that the eigensolver did not converge.
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -219,126 +180,34 @@ def symmetric_eig(a, rank_tol: float = DEFAULT_RANK_TOL) -> SpectralDecompositio
         raise ValueError("rank_tol must be positive")
     check_symmetric(a)
 
-    b = 0.5 * (a + a.T)
-    vecs = np.eye(n)
-    target = _JACOBI_OFF_TOL * float(np.linalg.norm(b))
-    for _ in range(_JACOBI_SWEEP_CAP):
-        if _offdiag_norm(b) <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _jacobi_rotate(b, vecs, p, q)
-    else:
-        if _offdiag_norm(b) > target:
-            raise ConvergenceError(
-                f"Jacobi eigensolver did not converge in {_JACOBI_SWEEP_CAP} sweeps"
-            )
-
-    lambdas = np.diag(b).copy()
-    order = np.argsort(-lambdas, kind="stable")
-    lambdas = lambdas[order]
-    vecs = vecs[:, order]
+    try:
+        lambdas, vecs = np.linalg.eigh(0.5 * (a + a.T))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"symmetric eigensolver did not converge: {exc}") from exc
+    lambdas = lambdas[::-1].copy()
+    vecs = vecs[:, ::-1].copy()
     return SpectralDecomposition(vecs, lambdas, _numerical_rank(lambdas, rank_tol), rank_tol)
 
 
-def _onesided_rotate(work: np.ndarray, v: np.ndarray, i: int, j: int) -> None:
-    """Rotate columns i, j of ``work`` (and of v) to make them orthogonal."""
-    ci = work[:, i]
-    cj = work[:, j]
-    aii = float(ci @ ci)
-    ajj = float(cj @ cj)
-    aij = float(ci @ cj)
-    if aij * aij <= (_ORTHO_SKIP**2) * aii * ajj:
-        return
-    zeta = (ajj - aii) / (2.0 * aij)
-    if zeta >= 0.0:
-        t = 1.0 / (zeta + np.hypot(1.0, zeta))
-    else:
-        t = 1.0 / (zeta - np.hypot(1.0, zeta))
-    c = 1.0 / np.hypot(1.0, t)
-    s = t * c
-    wi = ci.copy()
-    work[:, i] = c * wi - s * cj
-    work[:, j] = s * wi + c * cj
-    vi = v[:, i].copy()
-    v[:, i] = c * vi - s * v[:, j]
-    v[:, j] = s * vi + c * v[:, j]
-
-
-def _gram_converged(work: np.ndarray, zero_floor: float) -> bool:
-    g = work.T @ work
-    n = g.shape[0]
-    if n < 2:
-        return True
-    d = np.diag(g).copy()
-    off2 = g * g
-    np.fill_diagonal(off2, 0.0)
-    lim = (_JACOBI_OFF_TOL**2) * np.outer(d, d)
-    dead = d <= zero_floor**2
-    lim[dead, :] = np.inf
-    lim[:, dead] = np.inf
-    return bool(np.all(off2 <= lim))
-
-
-def _complete_orthonormal(cols: list[np.ndarray], dim: int) -> np.ndarray:
-    """Extend orthonormal columns to a full dim x dim orthogonal matrix."""
-    basis = [np.asarray(c, dtype=np.float64) for c in cols]
-    for threshold in (0.5, 1e-6):
-        for k in range(dim):
-            if len(basis) == dim:
-                break
-            w = np.zeros(dim)
-            w[k] = 1.0
-            for u in basis:
-                w -= (u @ w) * u
-            for u in basis:
-                w -= (u @ w) * u
-            norm_w = float(np.linalg.norm(w))
-            if norm_w > threshold:
-                basis.append(w / norm_w)
-        if len(basis) == dim:
-            break
-    if len(basis) != dim:
-        raise RuntimeError("failed to complete an orthonormal basis")
-    return np.column_stack(basis)
-
-
 def svd(a, rank_tol: float = DEFAULT_RANK_TOL) -> SingularDecomposition:
-    """Singular value decomposition by one-sided Jacobi on the columns.
+    """Full singular value decomposition by LAPACK (``np.linalg.svd``).
 
-    Column pairs are rotated until every pair of numerically nonzero columns
-    is mutually orthogonal to 1e-14 relative (cap 100 sweeps). Left singular
-    vectors on the numerical range are the normalized rotated columns; the
-    remaining columns of U are completed by Gram-Schmidt against them, so U
-    is orthogonal even for rank-deficient input.
+    Singular values are accurate relative to ||A|| and come back descending.
+    U (m x m) and V (n x n) are square and orthogonal even for
+    rank-deficient input.
+
+    Raises
+    ------
+    ValueError
+        If rank_tol is not positive.
+    ConvergenceError
+        If LAPACK reports that the SVD did not converge.
     """
     a = as_matrix(a)
     if rank_tol <= 0.0:
         raise ValueError("rank_tol must be positive")
-    m, n = a.shape
-    work = a.copy()
-    v = np.eye(n)
-    fro = float(np.linalg.norm(a))
-    zero_floor = max(m, n) * np.finfo(np.float64).eps * fro
-    for _ in range(_JACOBI_SWEEP_CAP):
-        if _gram_converged(work, zero_floor):
-            break
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                _onesided_rotate(work, v, i, j)
-    else:
-        if not _gram_converged(work, zero_floor):
-            raise ConvergenceError(
-                f"one-sided Jacobi SVD did not converge in {_JACOBI_SWEEP_CAP} sweeps"
-            )
-
-    norms = np.linalg.norm(work, axis=0)
-    order = np.argsort(-norms, kind="stable")
-    work = work[:, order]
-    v = v[:, order]
-    k = min(m, n)
-    sigmas = norms[order][:k].copy()
-
-    u_cols = [work[:, j] / sigmas[j] for j in range(k) if sigmas[j] > zero_floor]
-    u = _complete_orthonormal(u_cols, m)
-    return SingularDecomposition(u, sigmas, v, _numerical_rank(sigmas, rank_tol), rank_tol)
+    try:
+        u, sigmas, vh = np.linalg.svd(a, full_matrices=True)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"SVD did not converge: {exc}") from exc
+    return SingularDecomposition(u, sigmas, vh.T, _numerical_rank(sigmas, rank_tol), rank_tol)

@@ -90,19 +90,21 @@ def read_matrix_market(text) -> np.ndarray:
         cols = _parse_positive_int(toks[1], size_no, "column count")
         if symmetry == "symmetric" and rows != cols:
             raise MatrixMarketError(f"line {size_no}: symmetric storage requires a square matrix")
-        if symmetry == "general":
-            coords = [(i, j) for j in range(cols) for i in range(rows)]
-        else:
-            coords = [(i, j) for j in range(cols) for i in range(j, rows)]
         values: list[tuple[int, str]] = []
         for no, ln in entries:
             for tok in ln.split():
                 values.append((no, tok))
-        if len(values) != len(coords):
+        # Check the count before building anything the header's size implies.
+        expected = rows * cols if symmetry == "general" else rows * (rows + 1) // 2
+        if len(values) != expected:
             last = entries[-1][0] if entries else size_no
             raise MatrixMarketError(
-                f"line {last}: expected {len(coords)} entries, found {len(values)}"
+                f"line {last}: expected {expected} entries, found {len(values)}"
             )
+        if symmetry == "general":
+            coords = [(i, j) for j in range(cols) for i in range(rows)]
+        else:
+            coords = [(i, j) for j in range(cols) for i in range(j, rows)]
         mat = np.zeros((rows, cols))
         for (no, tok), (i, j) in zip(values, coords):
             value = _parse_real(tok, no)

@@ -3,6 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semikrylov import linalg
+from semikrylov.cli import run_command
+from semikrylov.genmat import ProblemSpec, make_problem
 from semikrylov.linalg import (
     ConvergenceError,
     as_matrix,
@@ -11,6 +14,7 @@ from semikrylov.linalg import (
     svd,
     symmetric_eig,
 )
+from semikrylov.mmio import save_matrix_market
 
 
 class TestValidation:
@@ -185,3 +189,60 @@ class TestSvd:
         np.testing.assert_array_equal(sd.sigmas, np.zeros(2))
         assert sd.rank == 0
         np.testing.assert_allclose(sd.u.T @ sd.u, np.eye(3), atol=1e-14)
+
+
+def _raise_linalg_error(*args, **kwargs):
+    raise np.linalg.LinAlgError("forced failure")
+
+
+class TestLapackFailure:
+    """LAPACK's LinAlgError surfaces as ConvergenceError, and the CLI exits 2."""
+
+    @pytest.mark.parametrize(
+        "lapack_name, decompose, matrix",
+        [("eigh", symmetric_eig, np.eye(3)), ("svd", svd, np.ones((3, 2)))],
+    )
+    def test_raises_convergence_error(self, monkeypatch, lapack_name, decompose, matrix):
+        monkeypatch.setattr(linalg.np.linalg, lapack_name, _raise_linalg_error)
+        with pytest.raises(ConvergenceError) as info:
+            decompose(matrix)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("lapack_name, method", [("eigh", "cg"), ("svd", "cgls")])
+    def test_solve_exits_2_with_error_line(self, monkeypatch, tmp_path, capsys, lapack_name, method):
+        spec = ProblemSpec("spsd", (6, 6), (2.0, 1.0, 0.5, 0.0, 0.0, 0.0), seed=3)
+        problem = make_problem(spec)
+        save_matrix_market(tmp_path / "a.mtx", problem.a)
+        save_matrix_market(tmp_path / "b.mtx", problem.b.reshape(-1, 1))
+        monkeypatch.setattr(linalg.np.linalg, lapack_name, _raise_linalg_error)
+        code = run_command([
+            "solve", "--method", method,
+            "--matrix", str(tmp_path / "a.mtx"), "--rhs", str(tmp_path / "b.mtx"),
+        ])
+        assert code == 2
+        assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
+
+
+_GRADED_RANK = 40
+_GRADED_VALUES = tuple(np.geomspace(1.0, 1e-8, _GRADED_RANK))
+
+
+@pytest.mark.parametrize(
+    "kind, dims",
+    [("spsd", (80, 80)), ("rectangular", (80, 50)), ("rectangular", (50, 80))],
+    ids=["spsd", "tall", "wide"],
+)
+def test_graded_spectrum_rank_cut(kind, dims):
+    """LAPACK is accurate relative to ||A||; the rank cut must still find every
+    value of a spectrum graded over eight decades, down to 1e-8."""
+    k = dims[1] if kind == "spsd" else min(dims)
+    spec = ProblemSpec(kind, dims, _GRADED_VALUES + (0.0,) * (k - _GRADED_RANK), seed=97)
+    a = make_problem(spec).a
+    if kind == "spsd":
+        dec = symmetric_eig(a)
+        rank, smallest = dec.rank, dec.lambdas_r[-1]
+    else:
+        sd = svd(a)
+        rank, smallest = sd.rank, sd.sigmas_r[-1]
+    assert rank == _GRADED_RANK
+    np.testing.assert_allclose(smallest, _GRADED_VALUES[-1], rtol=1e-6)

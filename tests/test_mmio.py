@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,6 +75,22 @@ class TestRead:
     def test_wrong_entry_count(self):
         text = "%%MatrixMarket matrix array real general\n2 1\n1.0\n"
         with pytest.raises(MatrixMarketError, match="expected 2 entries"):
+            read_matrix_market(text)
+
+    def test_oversized_array_header_rejected_before_allocating(self):
+        text = "%%MatrixMarket matrix array real general\n3000 3000\n1.0\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(MatrixMarketError, match="line 3: expected 9000000 entries, found 1"):
+                read_matrix_market(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_symmetric_array_entry_count(self):
+        text = "%%MatrixMarket matrix array real symmetric\n3 3\n1\n2\n3\n"
+        with pytest.raises(MatrixMarketError, match="expected 6 entries, found 3"):
             read_matrix_market(text)
 
     def test_symmetric_upper_entry_rejected(self):
