@@ -60,6 +60,13 @@ def _violations(measured: list[float], bound: list[float]) -> list[tuple[int, fl
     return out
 
 
+def _bound_report(kind: str, measured: list[float], rho: float, spectrum) -> BoundReport:
+    bound = _envelope(rho, measured[0], len(measured))
+    bad = _violations(measured, bound)
+    extremes = (float(spectrum[0]), float(spectrum[-1]))
+    return BoundReport(kind, measured, bound, rho, extremes, bad, not bad)
+
+
 def cg_bound_verify(trace: SolveTrace, decomp: SpectralDecomposition) -> BoundReport:
     """Check the energy-norm contraction of a plain cg trace.
 
@@ -73,7 +80,7 @@ def cg_bound_verify(trace: SolveTrace, decomp: SpectralDecomposition) -> BoundRe
     """
     if trace.method != "cg":
         raise ValueError("cg_bound_verify expects a cg trace")
-    if not trace.residuals:
+    if len(trace.residuals) == 0:
         raise ValueError("trace has no recorded residual vectors")
     if decomp.rank == 0:
         raise ValueError("bound undefined for a zero-rank matrix")
@@ -88,13 +95,8 @@ def cg_bound_verify(trace: SolveTrace, decomp: SpectralDecomposition) -> BoundRe
     lam = decomp.lambdas_r
     kappa = float(lam[0] / lam[-1])
     rho = float((np.sqrt(kappa) - 1.0) / (np.sqrt(kappa) + 1.0))
-    q1 = decomp.q1
-    measured = [float(np.sqrt(np.sum((q1.T @ r) ** 2 / lam))) for r in trace.residuals]
-    bound = _envelope(rho, measured[0], len(measured))
-    bad = _violations(measured, bound)
-    return BoundReport(
-        "cg_energy", measured, bound, rho, (float(lam[0]), float(lam[-1])), bad, not bad
-    )
+    measured = np.sqrt(np.sum((trace.residuals @ decomp.q1) ** 2 / lam, axis=1)).tolist()
+    return _bound_report("cg_energy", measured, rho, lam)
 
 
 def cgls_bound_verify(
@@ -108,24 +110,15 @@ def cgls_bound_verify(
     """
     if trace.method != "cgls":
         raise ValueError("cgls_bound_verify expects a cgls trace")
-    if not trace.iterates:
+    if len(trace.iterates) == 0:
         raise ValueError("trace has no recorded iterate vectors")
     if sdec.rank == 0:
         raise ValueError("bound undefined for a zero-rank matrix")
     sig = sdec.sigmas_r
     rho = float((sig[0] - sig[-1]) / (sig[0] + sig[-1]))
-    measured = [float(np.linalg.norm(sdec.apply(xk - xstar))) for xk in trace.iterates]
-    bound = _envelope(rho, measured[0], len(measured))
-    bad = _violations(measured, bound)
-    return BoundReport(
-        "cgls_range_residual",
-        measured,
-        bound,
-        rho,
-        (float(sig[0]), float(sig[-1])),
-        bad,
-        not bad,
-    )
+    # ||A e|| = ||Sigma_r V1^T e||, since U1 has orthonormal columns
+    measured = np.linalg.norm((trace.iterates - xstar) @ sdec.v1 * sig, axis=1).tolist()
+    return _bound_report("cgls_range_residual", measured, rho, sig)
 
 
 def cgne_bound_verify(trace: SolveTrace, sdec: SingularDecomposition) -> BoundReport:
@@ -137,7 +130,7 @@ def cgne_bound_verify(trace: SolveTrace, sdec: SingularDecomposition) -> BoundRe
     """
     if trace.method != "cgne":
         raise ValueError("cgne_bound_verify expects a cgne trace")
-    if not trace.residuals or trace.y_iterates is None or not trace.y_iterates:
+    if len(trace.residuals) == 0 or trace.y_iterates is None or len(trace.y_iterates) == 0:
         raise ValueError("trace has no recorded vector history")
     if sdec.rank == 0:
         raise ValueError("bound undefined for a zero-rank matrix")
@@ -152,10 +145,5 @@ def cgne_bound_verify(trace: SolveTrace, sdec: SingularDecomposition) -> BoundRe
 
     sig = sdec.sigmas_r
     rho = float((sig[0] - sig[-1]) / (sig[0] + sig[-1]))
-    u1 = sdec.u1
-    measured = [float(np.sum(((u1.T @ r) / sig) ** 2)) for r in trace.residuals]
-    bound = _envelope(rho, measured[0], len(measured))
-    bad = _violations(measured, bound)
-    return BoundReport(
-        "cgne_energy", measured, bound, rho, (float(sig[0]), float(sig[-1])), bad, not bad
-    )
+    measured = np.sum((trace.residuals @ sdec.u1 / sig) ** 2, axis=1).tolist()
+    return _bound_report("cgne_energy", measured, rho, sig)

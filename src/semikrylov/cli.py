@@ -117,8 +117,8 @@ def _emit_trace_csv(args, trace, range_res_norms, null_res_norms, bound_report: 
 
 
 def _residual_split_norms(residuals, basis1, basis2):
-    range_norms = [float(np.linalg.norm(basis1.T @ r)) for r in residuals]
-    null_norms = [float(np.linalg.norm(basis2.T @ r)) for r in residuals]
+    range_norms = np.linalg.norm(residuals @ basis1, axis=1).tolist()
+    null_norms = np.linalg.norm(residuals @ basis2, axis=1).tolist()
     return range_norms, null_norms
 
 
@@ -238,10 +238,9 @@ def _cmd_diagnose(args) -> int:
     }
     q2 = decomp.q2
     if cons.consistent:
-        x20 = q2.T @ trace.iterates[0]
-        drift = max(
-            float(np.linalg.norm(q2.T @ xk - x20)) / max(float(np.linalg.norm(x20)), 1.0)
-            for xk in trace.iterates
+        x2 = trace.iterates @ q2
+        drift = float(np.max(np.linalg.norm(x2 - x2[0], axis=1))) / max(
+            float(np.linalg.norm(x2[0])), 1.0
         )
         checks["null_stagnation"] = drift <= args.tol
         diagnostics["max_null_drift"] = drift
@@ -251,10 +250,8 @@ def _cmd_diagnose(args) -> int:
         diagnostics["max_null_direction_sine"] = confinement.max_angle
         b2 = dtrace.b2
         scale = max(float(np.linalg.norm(b2)), 1.0)
-        residual_drift = max(
-            float(np.linalg.norm(q2.T @ trace.residuals[i] - b2)) / scale
-            for i in range(min(len(trace.residuals), equivalence.iterations_compared + 1))
-        )
+        r2 = trace.residuals[: equivalence.iterations_compared + 1] @ q2
+        residual_drift = float(np.max(np.linalg.norm(r2 - b2, axis=1))) / scale
         checks["null_residual_constant"] = residual_drift <= args.tol
         diagnostics["max_null_residual_drift"] = residual_drift
 

@@ -1,10 +1,11 @@
 """CG carried directly in the eigenbasis, split into range and null blocks.
 
-``decomposed_cg_run`` iterates the same recurrence as ``cg_solve`` but in
-transformed coordinates: the range block sees the positive eigenvalues as a
-diagonal operator, while the null block sees only the null component of the
-right-hand side, whose direction never changes. When that component is zero
-the null block provably stays frozen at its starting value.
+``decomposed_cg_run`` runs the very recurrence of ``cg_solve`` in
+transformed coordinates, on the diagonal operator diag(Lambda_r, 0): the
+range block sees the positive eigenvalues, while the null block sees only
+the null component of the right-hand side, whose direction never changes.
+When that component is zero the null block provably stays frozen at its
+starting value.
 
 ``equivalence_check`` rotates a plain trace into the same basis and
 confirms the two runs are the same algorithm iteration by iteration. Both
@@ -23,7 +24,7 @@ import numpy as np
 
 from .linalg import SpectralDecomposition, as_vector
 from .oracle import split
-from .solvers import BREAKDOWN, SolveTrace
+from .solvers import BREAKDOWN, SolveTrace, _cg_recurrence
 
 COMPLETED = "completed"
 
@@ -33,19 +34,20 @@ _HORIZON_ORTH = 1e-10
 
 @dataclass(frozen=True)
 class DecomposedTrace:
-    """Per-iteration history of the transformed recurrence.
+    """Per-iteration history of the transformed recurrence, one row per state.
 
-    x1/r1/p1 live in range coordinates (length rank), x2/r2/p2 in null
-    coordinates (length dim - rank). The r2 entries are stored as the exact
-    null component of b: the recurrence never updates them.
+    x1/r1/p1 live in range coordinates (rank columns), x2/r2/p2 in null
+    coordinates (dim - rank columns); each is a column slice of the run's
+    rotated (states, dim) arrays. Every r2 row is exactly the null
+    component of b: the recurrence never changes it.
     """
 
-    x1: list[np.ndarray]
-    r1: list[np.ndarray]
-    p1: list[np.ndarray]
-    x2: list[np.ndarray]
-    r2: list[np.ndarray]
-    p2: list[np.ndarray]
+    x1: np.ndarray
+    r1: np.ndarray
+    p1: np.ndarray
+    x2: np.ndarray
+    r2: np.ndarray
+    p2: np.ndarray
     alphas: list[float]
     betas: list[float]
     b1: np.ndarray
@@ -62,11 +64,13 @@ def decomposed_cg_run(
 ) -> DecomposedTrace:
     """Run ``iters`` iterations of CG in eigenbasis coordinates.
 
-    The range block uses the diagonal positive spectrum directly; the full
-    matrix is never applied. Stops early with stop_reason "breakdown" when
-    the curvature denominator (p1, Lambda_r p1) degenerates relative to
-    ||p||^2, exactly as the plain solver would; the trace then records the
-    iterations completed up to that point.
+    This is the plain recurrence applied to the diagonal operator
+    diag(Lambda_r, 0); the full matrix is never applied. The null block of
+    the operator is zero, so r2 - alpha * 0 leaves the null residual at b2
+    bit for bit. Stops early with stop_reason "breakdown" when the curvature
+    denominator (p1, Lambda_r p1) degenerates relative to ||p||^2, exactly
+    as the plain solver would; the trace then records the iterations
+    completed up to that point.
     """
     b = as_vector(b)
     x0 = as_vector(x0)
@@ -75,51 +79,22 @@ def decomposed_cg_run(
     if b.shape[0] != decomp.dim or x0.shape[0] != decomp.dim:
         raise ValueError("right-hand side and initial guess must match the decomposition dimension")
 
-    lam = decomp.lambdas_r
+    rank = decomp.rank
+    lam_full = np.concatenate([decomp.lambdas_r, np.zeros(decomp.dim - rank)])
     parts_b = split(decomp, b)
     b1, b2 = parts_b.range_part, parts_b.null_part
     parts_x0 = split(decomp, x0)
-    x1 = parts_x0.range_part.copy()
-    x2 = parts_x0.null_part.copy()
-    b22 = float(b2 @ b2)
+    x = np.concatenate([parts_x0.range_part, parts_x0.null_part])
+    r = np.concatenate([b1 - decomp.lambdas_r * parts_x0.range_part, b2])
 
-    r1 = b1 - lam * x1
-    p1 = r1.copy()
-    p2 = b2.copy()
-
-    x1s, r1s, p1s = [x1.copy()], [r1.copy()], [p1.copy()]
-    x2s, r2s, p2s = [x2.copy()], [b2.copy()], [p2.copy()]
-    alphas: list[float] = []
-    betas: list[float] = []
-    stop_reason = COMPLETED
-    num = float(r1 @ r1) + b22
-
-    for _ in range(iters):
-        lp = lam * p1
-        curvature = float(p1 @ lp)
-        if curvature <= breakdown_tol * (float(p1 @ p1) + float(p2 @ p2)):
-            stop_reason = BREAKDOWN
-            break
-        alpha = num / curvature
-        x1 = x1 + alpha * p1
-        x2 = x2 + alpha * p2
-        r1 = r1 - alpha * lp
-        num_next = float(r1 @ r1) + b22
-        beta = num_next / num
-        p1 = r1 + beta * p1
-        p2 = b2 + beta * p2
-        num = num_next
-
-        alphas.append(alpha)
-        betas.append(beta)
-        x1s.append(x1.copy())
-        r1s.append(r1.copy())
-        p1s.append(p1.copy())
-        x2s.append(x2.copy())
-        r2s.append(b2.copy())
-        p2s.append(p2.copy())
-
-    return DecomposedTrace(x1s, r1s, p1s, x2s, r2s, p2s, alphas, betas, b1, b2, stop_reason)
+    # stop = -1 never fires: the run does exactly ``iters`` iterations unless it breaks down
+    run = _cg_recurrence(lambda p: lam_full * p, x, r, iters, -1.0, breakdown_tol, True)
+    xs, rs, ps = run.iterates, run.residuals, run.directions
+    stop_reason = BREAKDOWN if run.stop_reason == BREAKDOWN else COMPLETED
+    return DecomposedTrace(
+        xs[:, :rank], rs[:, :rank], ps[:, :rank], xs[:, rank:], rs[:, rank:], ps[:, rank:],
+        run.alphas, run.betas, b1, b2, stop_reason,
+    )
 
 
 @dataclass(frozen=True)
@@ -129,13 +104,17 @@ class EquivalenceReport:
     passed: bool
 
 
-def _scalar_dev(a: float, b: float) -> float:
-    denom = max(abs(a), abs(b))
-    return abs(a - b) / denom if denom > 0.0 else 0.0
+def _scalar_devs(a, b) -> np.ndarray:
+    a, b = np.asarray(a), np.asarray(b)
+    denom = np.maximum(np.abs(a), np.abs(b))
+    return np.divide(np.abs(a - b), denom, out=np.zeros_like(denom), where=denom > 0.0)
 
 
-def _block_dev(reference: np.ndarray, other: np.ndarray) -> float:
-    return float(np.linalg.norm(reference - other)) / max(float(np.linalg.norm(reference)), 1.0)
+def _block_devs(reference: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Per-row ||reference_k - other_k|| / max(||reference_k||, 1)."""
+    return np.linalg.norm(reference - other, axis=1) / np.maximum(
+        np.linalg.norm(reference, axis=1), 1.0
+    )
 
 
 def _healthy_states(trace: SolveTrace, dtrace: DecomposedTrace) -> int:
@@ -147,19 +126,15 @@ def _healthy_states(trace: SolveTrace, dtrace: DecomposedTrace) -> int:
     """
     count = min(len(trace.iterates), len(dtrace.x1))
     b1_norm = float(np.linalg.norm(dtrace.b1))
-    unit_residuals = []
-    for r in trace.residuals:
-        norm_r = float(np.linalg.norm(r))
-        unit_residuals.append(r / norm_r if norm_r > 0.0 else r)
+    norms = np.linalg.norm(trace.residuals, axis=1, keepdims=True)
+    unit = trace.residuals / np.where(norms > 0.0, norms, 1.0)
+    r1_norms = np.linalg.norm(dtrace.r1, axis=1)
     for i in range(count):
-        r1_norm = float(np.linalg.norm(dtrace.r1[i]))
         # an exactly zero range residual is the exact-arithmetic limit, not noise
-        if 0.0 < r1_norm < _HORIZON_REL * b1_norm:
+        if 0.0 < r1_norms[i] < _HORIZON_REL * b1_norm:
             return i
-        if i >= 1:
-            loss = max(abs(float(unit_residuals[i] @ unit_residuals[j])) for j in range(i))
-            if loss > _HORIZON_ORTH:
-                return i
+        if i >= 1 and np.max(np.abs(unit[:i] @ unit[i])) > _HORIZON_ORTH:
+            return i
     return count
 
 
@@ -179,7 +154,7 @@ def equivalence_check(
     """
     if trace.method != "cg":
         raise ValueError("equivalence_check expects a plain cg trace")
-    if not trace.iterates:
+    if len(trace.iterates) == 0:
         raise ValueError("plain trace has no recorded vector history")
 
     n_scalars = min(len(trace.alphas), len(dtrace.alphas))
@@ -188,21 +163,17 @@ def equivalence_check(
     if iterations <= 0:
         raise ValueError("no comparable iterations before the rounding horizon")
 
-    devs = [0.0]
-    for i in range(iterations + 1):
-        for plain_vec, d1, d2 in (
-            (trace.iterates[i], dtrace.x1[i], dtrace.x2[i]),
-            (trace.residuals[i], dtrace.r1[i], dtrace.r2[i]),
-            (trace.directions[i], dtrace.p1[i], dtrace.p2[i]),
-        ):
-            parts = split(decomp, plain_vec)
-            devs.append(_block_dev(parts.range_part, d1))
-            devs.append(_block_dev(parts.null_part, d2))
-    for i in range(iterations):
-        devs.append(_scalar_dev(trace.alphas[i], dtrace.alphas[i]))
-        devs.append(_scalar_dev(trace.betas[i], dtrace.betas[i]))
-
-    max_dev = max(devs)
+    k, states = iterations, iterations + 1
+    devs = [_scalar_devs(trace.alphas[:k] + trace.betas[:k], dtrace.alphas[:k] + dtrace.betas[:k])]
+    for plain, d1, d2 in (
+        (trace.iterates, dtrace.x1, dtrace.x2),
+        (trace.residuals, dtrace.r1, dtrace.r2),
+        (trace.directions, dtrace.p1, dtrace.p2),
+    ):
+        plain = np.asarray(plain[:states])
+        devs.append(_block_devs(plain @ decomp.q1, d1[:states]))
+        devs.append(_block_devs(plain @ decomp.q2, d2[:states]))
+    max_dev = float(np.max(np.concatenate(devs), initial=0.0))
     return EquivalenceReport(max_dev, iterations, max_dev <= tol)
 
 
@@ -228,12 +199,10 @@ def null_direction_confinement(dtrace: DecomposedTrace, tol: float) -> Confineme
             "b2 is zero (consistent case): check x2 stagnation and p2 = 0 instead of confinement"
         )
     bhat = b2 / nb2
-    max_sine = 0.0
-    for p2 in dtrace.p2:
-        np2 = float(np.linalg.norm(p2))
-        if np2 <= tol * nb2:
-            continue
-        orthogonal = p2 - (bhat @ p2) * bhat
-        sine = float(np.linalg.norm(orthogonal)) / np2
-        max_sine = max(max_sine, sine)
+    np2 = np.linalg.norm(dtrace.p2, axis=1)
+    kept = np2 > tol * nb2
+    p2 = dtrace.p2[kept]
+    orthogonal = p2 - np.outer(p2 @ bhat, bhat)
+    sines = np.linalg.norm(orthogonal, axis=1) / np2[kept]
+    max_sine = float(np.max(sines, initial=0.0))
     return ConfinementReport(max_sine, max_sine <= tol)

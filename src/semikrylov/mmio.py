@@ -2,7 +2,8 @@
 
 Reads the ``array`` and ``coordinate`` formats with ``real`` entries and
 ``general`` or ``symmetric`` storage; symmetric storage is expanded to a
-full dense matrix. Parse failures raise MatrixMarketError with the 1-based
+full dense matrix. A coordinate entry given twice is rejected, not summed
+or overwritten. Parse failures raise MatrixMarketError with the 1-based
 line number. Writing always emits ``array real general`` with 17
 significant digits, which round-trips float64 exactly.
 """
@@ -131,6 +132,7 @@ def read_matrix_market(text) -> np.ndarray:
         raise MatrixMarketError(f"line {last}: expected {nnz} entries, found {len(entries)}")
 
     mat = np.zeros((rows, cols))
+    cells, values = [], []
     for no, ln in entries:
         toks = ln.split()
         if len(toks) != 3:
@@ -141,14 +143,28 @@ def read_matrix_market(text) -> np.ndarray:
             raise MatrixMarketError(f"line {no}: row index {i} out of range 1..{rows}")
         if j > cols:
             raise MatrixMarketError(f"line {no}: column index {j} out of range 1..{cols}")
-        value = _parse_real(toks[2], no)
-        if symmetry == "symmetric":
-            if i < j:
-                raise MatrixMarketError(
-                    f"line {no}: symmetric entries must satisfy row >= col, got ({i}, {j})"
-                )
-            mat[j - 1, i - 1] = value
-        mat[i - 1, j - 1] = value
+        values.append(_parse_real(toks[2], no))
+        if symmetry == "symmetric" and i < j:
+            raise MatrixMarketError(
+                f"line {no}: symmetric entries must satisfy row >= col, got ({i}, {j})"
+            )
+        cells.append((i - 1) * cols + (j - 1))
+
+    # one stable sort finds repeated cells; k is the earliest entry that repeats one
+    cells = np.array(cells, dtype=np.int64)
+    order = np.argsort(cells, kind="stable")
+    repeats = order[1:][np.diff(cells[order]) == 0]
+    if repeats.size:
+        k = repeats.min()
+        i, j = divmod(int(cells[k]), cols)
+        raise MatrixMarketError(
+            f"line {entries[k][0]}: duplicate entry ({i + 1}, {j + 1}), "
+            f"first given on line {entries[np.argmax(cells == cells[k])][0]}"
+        )
+    mat.flat[cells] = values
+    if symmetry == "symmetric":
+        ri, ci = np.divmod(cells, cols)
+        mat[ci, ri] = values
     return mat
 
 

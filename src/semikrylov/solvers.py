@@ -6,7 +6,13 @@ without ever forming them, for least squares problems. ``cgne_solve`` runs
 CG on the second-kind normal equations A A^T y = b with x = A^T y, for
 minimum-norm solutions of consistent underdetermined systems. All three
 always record the per-iteration scalars (step sizes and residual norms)
-and keep the full vector history unless trace recording is disabled.
+and keep the full vector history, one array row per state, unless trace
+recording is disabled.
+
+``cg_solve``, ``cgne_solve`` and the eigenbasis run of the decomposition
+module share one recurrence, ``_cg_recurrence``, over an operator given as
+a callable. CGLS keeps its own loop in the r/s form, which is numerically
+preferable to CG on A^T A (Bjorck 1996).
 
 On singular systems the curvature denominator (A p, p) can degenerate when
 the right-hand side sticks out of the range; the solvers then stop with
@@ -16,7 +22,7 @@ regime rather than a bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,14 +64,14 @@ class SolverConfig:
 class SolveTrace:
     """Complete record of one solver run.
 
-    ``iterates``/``residuals``/``directions`` hold one entry per recorded
-    state (initial state included); ``alphas``/``betas`` hold one entry per
-    completed iteration, so there is always one more state than completed
-    iterations. For cgls, ``normal_residuals`` holds s_i = A^T r_i. For
-    cgne, ``iterates`` holds x_i = A^T y_i and ``y_iterates`` the underlying
-    y_i; residuals are r_i = b - A A^T y_i. With trace recording disabled
-    the vector lists stay empty and only the final x (and y), the norms,
-    and the step scalars are populated.
+    ``iterates``/``residuals``/``directions`` are 2-D arrays with one row
+    per recorded state (initial state included); ``alphas``/``betas`` hold
+    one entry per completed iteration, so there is always one more state
+    than completed iterations. For cgls, ``normal_residuals`` holds
+    s_i = A^T r_i. For cgne, ``iterates`` holds x_i = A^T y_i and
+    ``y_iterates`` the underlying y_i; residuals are r_i = b - A A^T y_i.
+    With trace recording disabled the vector arrays have zero rows and only
+    the final x (and y), the norms, and the step scalars are populated.
     """
 
     method: str
@@ -74,18 +80,71 @@ class SolveTrace:
     alphas: list[float]
     betas: list[float]
     res_norms: list[float]
-    iterates: list[np.ndarray]
-    residuals: list[np.ndarray]
-    directions: list[np.ndarray]
+    iterates: np.ndarray
+    residuals: np.ndarray
+    directions: np.ndarray
     normal_res_norms: list[float] | None = None
-    normal_residuals: list[np.ndarray] | None = None
+    normal_residuals: np.ndarray | None = None
     y: np.ndarray | None = None
-    y_iterates: list[np.ndarray] | None = None
+    y_iterates: np.ndarray | None = None
 
     @property
     def iterations(self) -> int:
         """Number of completed iterations."""
         return len(self.alphas)
+
+
+def _rows(vectors: list[np.ndarray], n: int) -> np.ndarray:
+    """Stack recorded states into a (states, n) array; (0, n) when none were kept."""
+    return np.reshape(vectors, (-1, n))
+
+
+def _cg_recurrence(apply, x, r, cap: int, stop: float, breakdown_tol: float, record: bool):
+    """CG on the symmetric positive semidefinite operator ``apply`` from x, with r = b - A x.
+
+    Stops with "converged" once ||r_i|| <= stop, "max_iters" after ``cap``
+    iterations, or "breakdown" when (A p_i, p_i) <= breakdown_tol * ||p_i||^2.
+    Returns a SolveTrace labelled "cg". Every update makes new arrays, so
+    the recorded states need no copies.
+    """
+    p = r
+    rr = float(r @ r)
+    alphas: list[float] = []
+    betas: list[float] = []
+    res_norms = [float(np.sqrt(rr))]
+    xs, rs, ps = ([x], [r], [p]) if record else ([], [], [])
+
+    while True:
+        if np.sqrt(rr) <= stop:
+            stop_reason = CONVERGED
+            break
+        if len(alphas) >= cap:
+            stop_reason = MAX_ITERS
+            break
+        ap = apply(p)
+        curvature = float(p @ ap)
+        if curvature <= breakdown_tol * float(p @ p):
+            stop_reason = BREAKDOWN
+            break
+        alpha = rr / curvature
+        x = x + alpha * p
+        r = r - alpha * ap
+        rr_next = float(r @ r)
+        beta = rr_next / rr
+        p = r + beta * p
+        rr = rr_next
+
+        alphas.append(alpha)
+        betas.append(beta)
+        res_norms.append(float(np.sqrt(rr)))
+        if record:
+            xs.append(x)
+            rs.append(r)
+            ps.append(p)
+
+    n = x.shape[0]
+    states = (_rows(xs, n), _rows(rs, n), _rows(ps, n))
+    return SolveTrace("cg", stop_reason, x, alphas, betas, res_norms, *states)
 
 
 def cg_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
@@ -118,60 +177,10 @@ def cg_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
     if b.shape[0] != n or x0.shape[0] != n:
         raise ValueError("right-hand side and initial guess must match the matrix dimension")
 
-    cap = cfg.iteration_cap(n)
     stop = cfg.rel_tol * max(float(np.linalg.norm(b)), 1.0)
-
     x = x0.copy()
-    r = b - a @ x
-    p = r.copy()
-    rr = float(r @ r)
-
-    alphas: list[float] = []
-    betas: list[float] = []
-    res_norms = [float(np.sqrt(rr))]
-    iterates = [x.copy()] if cfg.record_trace else []
-    residuals = [r.copy()] if cfg.record_trace else []
-    directions = [p.copy()] if cfg.record_trace else []
-
-    while True:
-        if np.sqrt(rr) <= stop:
-            stop_reason = CONVERGED
-            break
-        if len(alphas) >= cap:
-            stop_reason = MAX_ITERS
-            break
-        ap = a @ p
-        curvature = float(p @ ap)
-        if curvature <= cfg.breakdown_tol * float(p @ p):
-            stop_reason = BREAKDOWN
-            break
-        alpha = rr / curvature
-        x = x + alpha * p
-        r = r - alpha * ap
-        rr_next = float(r @ r)
-        beta = rr_next / rr
-        p = r + beta * p
-        rr = rr_next
-
-        alphas.append(alpha)
-        betas.append(beta)
-        res_norms.append(float(np.sqrt(rr)))
-        if cfg.record_trace:
-            iterates.append(x.copy())
-            residuals.append(r.copy())
-            directions.append(p.copy())
-
-    return SolveTrace(
-        method="cg",
-        stop_reason=stop_reason,
-        x=x,
-        alphas=alphas,
-        betas=betas,
-        res_norms=res_norms,
-        iterates=iterates,
-        residuals=residuals,
-        directions=directions,
-    )
+    cap, record = cfg.iteration_cap(n), cfg.record_trace
+    return _cg_recurrence(lambda p: a @ p, x, b - a @ x, cap, stop, cfg.breakdown_tol, record)
 
 
 def cgls_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
@@ -198,17 +207,14 @@ def cgls_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
     x = x0.copy()
     r = b - a @ x
     s = a.T @ r
-    p = s.copy()
+    p = s
     gamma = float(s @ s)
 
     alphas: list[float] = []
     betas: list[float] = []
     res_norms = [float(np.linalg.norm(r))]
     normal_res_norms = [float(np.sqrt(gamma))]
-    iterates = [x.copy()] if cfg.record_trace else []
-    residuals = [r.copy()] if cfg.record_trace else []
-    directions = [p.copy()] if cfg.record_trace else []
-    normal_residuals = [s.copy()] if cfg.record_trace else []
+    xs, rs, ps, ss = ([x], [r], [p], [s]) if cfg.record_trace else ([], [], [], [])
 
     while True:
         if gamma <= stop:
@@ -236,10 +242,10 @@ def cgls_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
         res_norms.append(float(np.linalg.norm(r)))
         normal_res_norms.append(float(np.sqrt(gamma)))
         if cfg.record_trace:
-            iterates.append(x.copy())
-            residuals.append(r.copy())
-            directions.append(p.copy())
-            normal_residuals.append(s.copy())
+            xs.append(x)
+            rs.append(r)
+            ps.append(p)
+            ss.append(s)
 
     return SolveTrace(
         method="cgls",
@@ -248,11 +254,11 @@ def cgls_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
         alphas=alphas,
         betas=betas,
         res_norms=res_norms,
-        iterates=iterates,
-        residuals=residuals,
-        directions=directions,
+        iterates=_rows(xs, n),
+        residuals=_rows(rs, m),
+        directions=_rows(ps, n),
         normal_res_norms=normal_res_norms,
-        normal_residuals=normal_residuals,
+        normal_residuals=_rows(ss, n),
     )
 
 
@@ -261,7 +267,8 @@ def cgne_solve(a, b, y0, cfg: SolverConfig | None = None) -> SolveTrace:
 
     The product A A^T p is applied as two successive matvecs; A A^T is never
     formed. Stopping mirrors cg_solve with residual r_i = b - A A^T y_i.
-    The returned trace carries both the y history and x_i = A^T y_i.
+    The returned trace carries both the y history and x_i = A^T y_i, which
+    is formed once from the whole y history after the loop.
     """
     cfg = cfg or SolverConfig()
     a = as_matrix(a)
@@ -273,64 +280,11 @@ def cgne_solve(a, b, y0, cfg: SolverConfig | None = None) -> SolveTrace:
     if y0.shape[0] != m:
         raise ValueError(f"initial guess length {y0.shape[0]} does not match {m} rows")
 
-    cap = cfg.iteration_cap(m)
     stop = cfg.rel_tol * max(float(np.linalg.norm(b)), 1.0)
-
     y = y0.copy()
-    r = b - a @ (a.T @ y)
-    p = r.copy()
-    rr = float(r @ r)
-    x = a.T @ y
-
-    alphas: list[float] = []
-    betas: list[float] = []
-    res_norms = [float(np.sqrt(rr))]
-    iterates = [x.copy()] if cfg.record_trace else []
-    residuals = [r.copy()] if cfg.record_trace else []
-    directions = [p.copy()] if cfg.record_trace else []
-    y_iterates = [y.copy()] if cfg.record_trace else []
-
-    while True:
-        if np.sqrt(rr) <= stop:
-            stop_reason = CONVERGED
-            break
-        if len(alphas) >= cap:
-            stop_reason = MAX_ITERS
-            break
-        w = a.T @ p
-        ap = a @ w
-        curvature = float(p @ ap)
-        if curvature <= cfg.breakdown_tol * float(p @ p):
-            stop_reason = BREAKDOWN
-            break
-        alpha = rr / curvature
-        y = y + alpha * p
-        r = r - alpha * ap
-        rr_next = float(r @ r)
-        beta = rr_next / rr
-        p = r + beta * p
-        rr = rr_next
-        x = a.T @ y
-
-        alphas.append(alpha)
-        betas.append(beta)
-        res_norms.append(float(np.sqrt(rr)))
-        if cfg.record_trace:
-            iterates.append(x.copy())
-            residuals.append(r.copy())
-            directions.append(p.copy())
-            y_iterates.append(y.copy())
-
-    return SolveTrace(
-        method="cgne",
-        stop_reason=stop_reason,
-        x=x,
-        alphas=alphas,
-        betas=betas,
-        res_norms=res_norms,
-        iterates=iterates,
-        residuals=residuals,
-        directions=directions,
-        y=y,
-        y_iterates=y_iterates,
+    cap, record = cfg.iteration_cap(m), cfg.record_trace
+    run = _cg_recurrence(
+        lambda p: a @ (a.T @ p), y, b - a @ (a.T @ y), cap, stop, cfg.breakdown_tol, record
     )
+    y, ys = run.x, run.iterates
+    return replace(run, method="cgne", x=a.T @ y, iterates=ys @ a, y=y, y_iterates=ys)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from semikrylov.bounds import cg_bound_verify, cgls_bound_verify, cgne_bound_verify
+from semikrylov.decomposition import decomposed_cg_run, equivalence_check
 from semikrylov.genmat import ProblemSpec, make_problem
 from semikrylov.linalg import svd, symmetric_eig
 from semikrylov.oracle import pinv_apply_rect, pseudoinverse_matrix
@@ -178,3 +179,29 @@ class TestZeroRankErrors:
         trace = cgls_solve(a, [0.0, 0.0, 0.0], np.zeros(2), SolverConfig(max_iters=1))
         with pytest.raises(ValueError):
             cgls_bound_verify(trace, sd, np.zeros(2))
+
+
+def _unrecorded_traces():
+    cfg = SolverConfig(record_trace=False)
+    a = np.diag([2.0, 1.0, 0.0])
+    b = np.array([2.0, 1.0, 0.0])
+    rect = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
+    dec, sdec = symmetric_eig(a), svd(rect)
+    cg_trace = cg_solve(a, b, np.zeros(3), cfg)
+    dtrace = decomposed_cg_run(dec, b, np.zeros(3), 2)
+    return {
+        "cg_bound_verify": lambda: cg_bound_verify(cg_trace, dec),
+        "cgls_bound_verify": lambda: cgls_bound_verify(
+            cgls_solve(rect, b, np.zeros(2), cfg), sdec, np.zeros(2)
+        ),
+        "cgne_bound_verify": lambda: cgne_bound_verify(cgne_solve(rect, b, np.zeros(3), cfg), sdec),
+        "equivalence_check": lambda: equivalence_check(cg_trace, dtrace, dec, 1e-8),
+    }
+
+
+@pytest.mark.parametrize(
+    "check", ["cg_bound_verify", "cgls_bound_verify", "cgne_bound_verify", "equivalence_check"]
+)
+def test_unrecorded_trace_is_rejected(check):
+    with pytest.raises(ValueError, match="no recorded"):
+        _unrecorded_traces()[check]()

@@ -1,0 +1,77 @@
+"""Replay the seeded families of tests/data and compare with the stored golden traces.
+
+The golden file was written by tests/data/make_golden_traces.py before the
+solvers shared one recurrence. Runs stop at 15 iterations, inside the window
+where finite precision still follows exact arithmetic, so the tolerances
+only have to absorb rounding differences between BLAS builds.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from semikrylov.genmat import make_problem
+
+DATA = Path(__file__).parent / "data"
+_spec = importlib.util.spec_from_file_location("make_golden_traces", DATA / "make_golden_traces.py")
+golden_script = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden_script)
+
+SCALAR_FIELDS = ("alphas", "betas", "res_norms", "normal_res_norms")
+RTOL = {"cg": 1e-13, "cgls": 1e-13, "cgne": 1e-12, "decomposed": 1e-9}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with np.load(DATA / "golden_traces.npz") as stored:
+        return {key: stored[key] for key in stored.files}
+
+
+def _row_devs(got, want, scale):
+    """Per-state deviation ||got_k - want_k|| / scale_k (0 where both are zero)."""
+    diff = np.linalg.norm(np.atleast_2d(got - want), axis=-1)
+    return np.divide(diff, scale, out=np.where(diff > 0.0, np.inf, 0.0), where=scale > 0.0)
+
+
+def _assert_matches(got, want, rtol, what):
+    got = np.asarray(got, dtype=np.float64)
+    assert got.shape == want.shape, what
+    if what.split(".")[-1] in SCALAR_FIELDS:
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0, err_msg=what)
+        return
+    scale = np.linalg.norm(np.atleast_2d(want), axis=-1)
+    assert _row_devs(got, want, scale).max(initial=0.0) <= rtol, what
+
+
+@pytest.mark.parametrize("family", sorted(golden_script.FAMILIES))
+def test_solver_traces_match_golden(golden, family):
+    problem = make_problem(golden_script.FAMILIES[family])
+    for method, trace in golden_script.solver_runs(family, problem):
+        prefix = f"{family}.{method}"
+        assert trace.stop_reason == str(golden[f"{prefix}.stop_reason"])
+        for field in golden_script.SOLVE_FIELDS:
+            key = f"{prefix}.{field}"
+            value = getattr(trace, field)
+            assert (value is None) == (key not in golden), key
+            if value is not None:
+                _assert_matches(value, golden[key], RTOL[method], key)
+
+
+@pytest.mark.parametrize("family", ["spsd_consistent", "spsd_inconsistent"])
+def test_decomposed_run_matches_golden(golden, family):
+    fields = golden_script.decomposed_fields(make_problem(golden_script.FAMILIES[family]))
+    prefix = f"{family}.decomposed"
+    rtol = RTOL["decomposed"]
+    assert fields["stop_reason"] == str(golden[f"{prefix}.stop_reason"])
+    for field in ("alphas", "betas"):
+        _assert_matches(fields[field], golden[f"{prefix}.{field}"], rtol, f"{prefix}.{field}")
+    # each block is measured against the whole vector it belongs to, because a
+    # null block can be pure rounding noise (r2 when b is consistent)
+    for name in "xrp":
+        want1, want2 = golden[f"{prefix}.{name}1"], golden[f"{prefix}.{name}2"]
+        scale = np.linalg.norm(want1 + want2, axis=1)
+        for block, want in ((f"{name}1", want1), (f"{name}2", want2)):
+            assert fields[block].shape == want.shape
+            assert _row_devs(fields[block], want, scale).max() <= rtol, f"{prefix}.{block}"

@@ -103,6 +103,18 @@ class TestRead:
         with pytest.raises(MatrixMarketError, match="finite"):
             read_matrix_market(text)
 
+    @pytest.mark.parametrize(
+        "symmetry, body",
+        [
+            ("general", "2 2 3\n1 2 1.0\n2 2 4.0\n1 2 5.0\n"),
+            ("symmetric", "2 2 3\n2 1 1.0\n2 2 4.0\n2 1 5.0\n"),
+        ],
+    )
+    def test_duplicate_coordinate_entry_names_both_lines(self, symmetry, body):
+        text = f"%%MatrixMarket matrix coordinate real {symmetry}\n% comment\n{body}"
+        with pytest.raises(MatrixMarketError, match=r"line 6: duplicate .* on line 4"):
+            read_matrix_market(text)
+
 
 class TestWriteAndRoundtrip:
     def test_one_by_one(self):

@@ -98,7 +98,7 @@ class TestCgSolve:
         spec = ProblemSpec("spsd", (10, 10), tuple(np.geomspace(1, 0.1, 10)), seed=4)
         problem = make_problem(spec)
         trace = cg_solve(problem.a, problem.b, problem.x0, SolverConfig(record_trace=False))
-        assert trace.iterates == [] and trace.residuals == []
+        assert trace.iterates.shape == trace.residuals.shape == (0, 10)
         assert len(trace.alphas) == trace.iterations > 0
         assert len(trace.res_norms) == trace.iterations + 1
         assert trace.x.shape == (10,)
