@@ -1,10 +1,12 @@
 """Command-line surface: solve, diagnose, verify-bounds, generate.
 
 Exit codes: 0 when every check in the run passed, 1 when a check failed,
-2 on usage, parse, or input errors. Reports are JSON (written atomically,
-or printed to stdout without --out); per-iteration traces can additionally
-go to CSV. The environment variable SEMIKRYLOV_SEED overrides the seed of
-a problem spec file; an explicit --seed flag overrides both.
+2 on usage, parse, or input errors, a malformed spec file included. Every
+command ends in one report step: the JSON report is written atomically to
+--out (or printed to stdout without it), and the optional --trace-csv trace
+reads each column from the report array of the same name. The environment
+variable SEMIKRYLOV_SEED overrides the seed of a problem spec file; an
+explicit --seed flag overrides both.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .bounds import BoundReport, cg_bound_verify, cgls_bound_verify, cgne_bound_verify
+from .bounds import cg_bound_verify, cgls_bound_verify, cgne_bound_verify
 from .decomposition import decomposed_cg_run, equivalence_check, null_direction_confinement
 from .genmat import ProblemSpec, make_problem
 from .linalg import DEFAULT_RANK_TOL, ConvergenceError, svd, symmetric_eig
-from .mmio import MatrixMarketError, load_matrix_market, write_matrix_market
+from .mmio import load_matrix_market, write_matrix_market
 from .oracle import consistency_check, pinv_apply_rect, pseudoinverse_apply
 from .report import RunReport, trace_csv_text, write_text_atomic
 from .solvers import SolverConfig, cg_solve, cgls_solve, cgne_solve
@@ -48,13 +50,13 @@ def _load_vector(path) -> np.ndarray:
     return mat[:, 0].copy()
 
 
-def _x0_from_flag(flag: str, length: int, what: str = "initial guess") -> np.ndarray:
+def _x0_from_flag(flag: str, length: int) -> np.ndarray:
     if flag == "zero":
         return np.zeros(length)
     if flag.startswith("file:"):
         vec = _load_vector(flag[len("file:") :])
         if vec.shape[0] != length:
-            raise ValueError(f"{what} has length {vec.shape[0]}, expected {length}")
+            raise ValueError(f"initial guess has length {vec.shape[0]}, expected {length}")
         return vec
     raise ValueError(f"--x0 must be 'zero' or 'file:<path>', got {flag!r}")
 
@@ -68,7 +70,7 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(**kwargs)
 
 
-def _resolve_seed(file_seed, args) -> int:
+def _resolve_seed(file_seed, args):
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get(SEED_ENV)
@@ -79,47 +81,21 @@ def _resolve_seed(file_seed, args) -> int:
             raise ValueError(f"{SEED_ENV} must be an integer, got {env!r}") from None
     if file_seed is None:
         raise ValueError("no seed: provide one in the spec file, via --seed, or via the environment")
-    return int(file_seed)
+    return file_seed
+
+
+def _load_problem(args):
+    """Read the --spec file, resolve its seed, and build the seeded problem."""
+    with open(args.spec, "r", encoding="utf-8") as handle:
+        raw = json.load(handle)
+    if isinstance(raw, dict):
+        raw["seed"] = _resolve_seed(raw.get("seed"), args)
+    spec = ProblemSpec.from_dict(raw)
+    return spec, make_problem(spec)
 
 
 def _relative_distance(x: np.ndarray, reference: np.ndarray) -> float:
     return float(np.linalg.norm(x - reference)) / max(float(np.linalg.norm(reference)), 1.0)
-
-
-def _emit_report(report: RunReport, args) -> None:
-    text = report.to_json()
-    if getattr(args, "out", None):
-        write_text_atomic(args.out, text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_trace_csv(args, trace, range_res_norms, null_res_norms, bound_report: BoundReport | None) -> None:
-    if not getattr(args, "trace_csv", None):
-        return
-    rows = []
-    for k, res in enumerate(trace.res_norms):
-        row = {"iter": k, "res_norm": res}
-        if k < len(trace.alphas):
-            row["alpha"] = trace.alphas[k]
-            row["beta"] = trace.betas[k]
-        if trace.normal_res_norms is not None:
-            row["normal_res_norm"] = trace.normal_res_norms[k]
-        if range_res_norms is not None:
-            row["range_res_norm"] = range_res_norms[k]
-        if null_res_norms is not None:
-            row["null_res_norm"] = null_res_norms[k]
-        if bound_report is not None:
-            row["measured_bound_quantity"] = bound_report.measured[k]
-            row["bound_value"] = bound_report.bound[k]
-        rows.append(row)
-    write_text_atomic(args.trace_csv, trace_csv_text(rows))
-
-
-def _residual_split_norms(residuals, basis1, basis2):
-    range_norms = np.linalg.norm(residuals @ basis1, axis=1).tolist()
-    null_norms = np.linalg.norm(residuals @ basis2, axis=1).tolist()
-    return range_norms, null_norms
 
 
 def _run_method(method, a, b, start, cfg):
@@ -131,7 +107,7 @@ def _run_method(method, a, b, start, cfg):
 
 
 def _spectral_pipeline(method, a, rank_tol):
-    """Decomposition, rank, spectral summary, and residual-space bases."""
+    """Decomposition, spectral summary, and residual-space bases."""
     if method == "cg":
         decomp = symmetric_eig(a, rank_tol)
         summary = {}
@@ -142,7 +118,7 @@ def _spectral_pipeline(method, a, rank_tol):
                 "lambda_r": float(lam[-1]),
                 "kappa": float(lam[0] / lam[-1]),
             }
-        return decomp, decomp.rank, summary, decomp.q1, decomp.q2
+        return decomp, summary, decomp.q1, decomp.q2
     sdec = svd(a, rank_tol)
     summary = {}
     if sdec.rank > 0:
@@ -150,7 +126,60 @@ def _spectral_pipeline(method, a, rank_tol):
         summary = {"sigma_1": float(sig[0]), "sigma_r": float(sig[-1])}
         if sig[-1] > 0:
             summary["sigma_ratio"] = float(sig[0] / sig[-1])
-    return sdec, sdec.rank, summary, sdec.u1, sdec.u2
+    return sdec, summary, sdec.u1, sdec.u2
+
+
+def _finish(args, command, method, dims, spectral, trace, checks, **fields) -> int:
+    """Build the report, write it (and the CSV trace) and return the exit code.
+
+    ``fields`` are the command's own report fields (final_distances,
+    measured, bound, contraction_factor, diagnostics); the rest come from
+    the trace and the spectral step. Each CSV column is read from the report
+    array of the matching name, so the CSV and the JSON cannot disagree.
+    """
+    dec, summary, basis1, basis2 = spectral
+    passed = all(checks.values())
+    report = RunReport(
+        command=command,
+        method=method,
+        dims=dims,
+        rank=dec.rank,
+        spectral_summary=summary,
+        stop_reason=trace.stop_reason,
+        iterations=trace.iterations,
+        res_norms=list(trace.res_norms),
+        alphas=list(trace.alphas),
+        betas=list(trace.betas),
+        normal_res_norms=list(trace.normal_res_norms) if trace.normal_res_norms else None,
+        range_res_norms=np.linalg.norm(trace.residuals @ basis1, axis=1).tolist(),
+        null_res_norms=np.linalg.norm(trace.residuals @ basis2, axis=1).tolist(),
+        checks=checks,
+        passed=passed,
+        timestamp=_timestamp(),
+        **(dict.fromkeys(("measured", "bound", "contraction_factor", "final_distances")) | fields),
+    )
+    text = report.to_json()
+    if getattr(args, "out", None):
+        write_text_atomic(args.out, text)
+    else:
+        sys.stdout.write(text)
+    if getattr(args, "trace_csv", None):
+        columns = {
+            "alpha": report.alphas,
+            "beta": report.betas,
+            "res_norm": report.res_norms,
+            "normal_res_norm": report.normal_res_norms,
+            "range_res_norm": report.range_res_norms,
+            "null_res_norm": report.null_res_norms,
+            "measured_bound_quantity": report.measured,
+            "bound_value": report.bound,
+        }
+        rows = [
+            {"iter": k, **{col: v[k] for col, v in columns.items() if v is not None and k < len(v)}}
+            for k in range(len(report.res_norms))
+        ]
+        write_text_atomic(args.trace_csv, trace_csv_text(rows))
+    return 0 if passed else 1
 
 
 def _cmd_solve(args) -> int:
@@ -158,10 +187,10 @@ def _cmd_solve(args) -> int:
     b = _load_vector(args.rhs)
     cfg = _solver_config(args)
     m, n = a.shape
-    start_len = m if args.method == "cgne" else n
-    start = _x0_from_flag(args.x0, start_len)
+    start = _x0_from_flag(args.x0, m if args.method == "cgne" else n)
 
-    dec, rank, summary, basis1, basis2 = _spectral_pipeline(args.method, a, args.rank_tol)
+    spectral = _spectral_pipeline(args.method, a, args.rank_tol)
+    dec = spectral[0]
     trace = _run_method(args.method, a, b, start, cfg)
 
     if args.method == "cg":
@@ -176,54 +205,27 @@ def _cmd_solve(args) -> int:
             expected = xdag
         cons_null = float(np.linalg.norm(dec.u2.T @ b))
 
-    range_norms, null_norms = _residual_split_norms(trace.residuals, basis1, basis2)
-    dist_min = _relative_distance(trace.x, xdag)
     dist_expected = _relative_distance(trace.x, expected)
     checks = {
         "converged": trace.stop_reason == "converged",
         "matches_oracle": dist_expected <= ORACLE_MATCH_TOL,
     }
-    passed = all(checks.values())
-
-    report = RunReport(
-        command="solve",
-        method=args.method,
-        dims=(m, n),
-        rank=rank,
-        spectral_summary=summary,
-        stop_reason=trace.stop_reason,
-        iterations=trace.iterations,
-        res_norms=list(trace.res_norms),
-        alphas=list(trace.alphas),
-        betas=list(trace.betas),
-        normal_res_norms=list(trace.normal_res_norms) if trace.normal_res_norms else None,
-        range_res_norms=range_norms,
-        null_res_norms=null_norms,
-        measured=None,
-        bound=None,
-        contraction_factor=None,
-        final_distances={
-            "min_norm": dist_min,
-            "expected": dist_expected,
-            "rhs_null_norm": cons_null,
-        },
-        checks=checks,
-        passed=passed,
-        timestamp=_timestamp(),
-    )
-    _emit_report(report, args)
-    _emit_trace_csv(args, trace, range_norms, null_norms, None)
-    return 0 if passed else 1
+    distances = {
+        "min_norm": _relative_distance(trace.x, xdag),
+        "expected": dist_expected,
+        "rhs_null_norm": cons_null,
+    }
+    return _finish(args, "solve", args.method, (m, n), spectral, trace, checks,
+                   final_distances=distances)
 
 
 def _cmd_diagnose(args) -> int:
     a = _load_matrix(args.matrix)
     b = _load_vector(args.rhs)
-    n = a.shape[0]
-    x0 = _x0_from_flag(args.x0, n)
-    decomp = symmetric_eig(a, args.rank_tol)
-    cfg = SolverConfig(max_iters=args.iters)
-    trace = cg_solve(a, b, x0, cfg)
+    x0 = _x0_from_flag(args.x0, a.shape[0])
+    spectral = _spectral_pipeline("cg", a, args.rank_tol)
+    decomp = spectral[0]
+    trace = cg_solve(a, b, x0, SolverConfig(max_iters=args.iters))
     dtrace = decomposed_cg_run(decomp, b, x0, args.iters)
     equivalence = equivalence_check(trace, dtrace, decomp, args.tol)
     cons = consistency_check(decomp, b)
@@ -255,52 +257,18 @@ def _cmd_diagnose(args) -> int:
         checks["null_residual_constant"] = residual_drift <= args.tol
         diagnostics["max_null_residual_drift"] = residual_drift
 
-    passed = all(checks.values())
-    lam = decomp.lambdas_r
-    summary = (
-        {"lambda_1": float(lam[0]), "lambda_r": float(lam[-1]), "kappa": float(lam[0] / lam[-1])}
-        if decomp.rank > 0
-        else {}
-    )
-    range_norms, null_norms = _residual_split_norms(trace.residuals, decomp.q1, decomp.q2)
-    report = RunReport(
-        command="diagnose",
-        method="cg",
-        dims=(n, n),
-        rank=decomp.rank,
-        spectral_summary=summary,
-        stop_reason=trace.stop_reason,
-        iterations=trace.iterations,
-        res_norms=list(trace.res_norms),
-        alphas=list(trace.alphas),
-        betas=list(trace.betas),
-        normal_res_norms=None,
-        range_res_norms=range_norms,
-        null_res_norms=null_norms,
-        measured=None,
-        bound=None,
-        contraction_factor=None,
-        final_distances=None,
-        checks=checks,
-        passed=passed,
-        timestamp=_timestamp(),
-        diagnostics=diagnostics,
-    )
-    _emit_report(report, args)
-    return 0 if passed else 1
+    return _finish(args, "diagnose", "cg", a.shape, spectral, trace, checks,
+                   diagnostics=diagnostics)
 
 
 def _cmd_verify_bounds(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
-    raw["seed"] = _resolve_seed(raw.get("seed"), args)
-    spec = ProblemSpec.from_dict(raw)
-    problem = make_problem(spec)
+    spec, problem = _load_problem(args)
     a, b = problem.a, problem.b
     m, n = a.shape
     cfg = _solver_config(args)
 
-    dec, rank, summary, basis1, basis2 = _spectral_pipeline(args.method, a, args.rank_tol)
+    spectral = _spectral_pipeline(args.method, a, args.rank_tol)
+    dec = spectral[0]
     start = problem.x0 if args.method != "cgne" else np.zeros(m)
     trace = _run_method(args.method, a, b, start, cfg)
 
@@ -311,29 +279,12 @@ def _cmd_verify_bounds(args) -> int:
     else:
         bound_report = cgne_bound_verify(trace, dec)
 
-    range_norms, null_norms = _residual_split_norms(trace.residuals, basis1, basis2)
-    checks = {"bound_holds": bound_report.passed}
-    report = RunReport(
-        command="verify-bounds",
-        method=args.method,
-        dims=(m, n),
-        rank=rank,
-        spectral_summary=summary,
-        stop_reason=trace.stop_reason,
-        iterations=trace.iterations,
-        res_norms=list(trace.res_norms),
-        alphas=list(trace.alphas),
-        betas=list(trace.betas),
-        normal_res_norms=list(trace.normal_res_norms) if trace.normal_res_norms else None,
-        range_res_norms=range_norms,
-        null_res_norms=null_norms,
+    return _finish(
+        args, "verify-bounds", args.method, (m, n), spectral, trace,
+        {"bound_holds": bound_report.passed},
         measured=list(bound_report.measured),
         bound=list(bound_report.bound),
         contraction_factor=bound_report.contraction_factor,
-        final_distances=None,
-        checks=checks,
-        passed=bound_report.passed,
-        timestamp=_timestamp(),
         diagnostics={
             "bound_kind": bound_report.kind,
             "kappa_or_sigmas": list(bound_report.kappa_or_sigmas),
@@ -341,31 +292,22 @@ def _cmd_verify_bounds(args) -> int:
             "seed": spec.seed,
         },
     )
-    _emit_report(report, args)
-    _emit_trace_csv(args, trace, range_norms, null_norms, bound_report)
-    return 0 if bound_report.passed else 1
 
 
 def _cmd_generate(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
-    raw["seed"] = _resolve_seed(raw.get("seed"), args)
-    spec = ProblemSpec.from_dict(raw)
-    problem = make_problem(spec)
+    spec, problem = _load_problem(args)
     os.makedirs(args.out_dir, exist_ok=True)
-
-    def path(name: str) -> str:
-        return os.path.join(args.out_dir, name)
-
-    write_text_atomic(path("a.mtx"), write_matrix_market(problem.a))
-    write_text_atomic(path("b.mtx"), write_matrix_market(problem.b.reshape(-1, 1)))
-    write_text_atomic(path("x0.mtx"), write_matrix_market(problem.x0.reshape(-1, 1)))
-    write_text_atomic(
-        path("xstar.mtx"), write_matrix_market(problem.xstar_reference.reshape(-1, 1))
-    )
-    write_text_atomic(path("problem.json"), json.dumps(spec.to_dict(), indent=2) + "\n")
-    for name in ("a.mtx", "b.mtx", "x0.mtx", "xstar.mtx", "problem.json"):
-        print(path(name))
+    texts = {
+        "a.mtx": write_matrix_market(problem.a),
+        "b.mtx": write_matrix_market(problem.b.reshape(-1, 1)),
+        "x0.mtx": write_matrix_market(problem.x0.reshape(-1, 1)),
+        "xstar.mtx": write_matrix_market(problem.xstar_reference.reshape(-1, 1)),
+        "problem.json": json.dumps(spec.to_dict(), indent=2) + "\n",
+    }
+    paths = [os.path.join(args.out_dir, name) for name in texts]
+    for path, text in zip(paths, texts.values()):
+        write_text_atomic(path, text)
+    print("\n".join(paths))
     return 0
 
 
@@ -439,7 +381,7 @@ def run_command(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, ConvergenceError) as exc:
+    except (ValueError, OSError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -123,6 +123,9 @@ class ProblemSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProblemSpec":
+        """Build a spec from its JSON form; a malformed or missing field raises ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError(f"problem spec must be an object, got {type(d).__name__}")
         try:
             return cls(
                 kind=d["kind"],
@@ -134,6 +137,8 @@ class ProblemSpec:
             )
         except KeyError as exc:
             raise ValueError(f"problem spec is missing required field {exc}") from exc
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"problem spec has a malformed field: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,15 @@ def _parse_real(token: str, line_no: int) -> float:
     return value
 
 
+def _fill(mat: np.ndarray, cells: np.ndarray, values: list, symmetry: str) -> np.ndarray:
+    """Set the flat cells of mat to values, mirrored across the diagonal for symmetric storage."""
+    mat.flat[cells] = values
+    if symmetry == "symmetric":
+        ri, ci = np.divmod(cells, mat.shape[1])
+        mat[ci, ri] = values
+    return mat
+
+
 def read_matrix_market(text) -> np.ndarray:
     """Parse Matrix Market content (str or bytes) into a dense float matrix."""
     if isinstance(text, (bytes, bytearray)):
@@ -91,10 +100,7 @@ def read_matrix_market(text) -> np.ndarray:
         cols = _parse_positive_int(toks[1], size_no, "column count")
         if symmetry == "symmetric" and rows != cols:
             raise MatrixMarketError(f"line {size_no}: symmetric storage requires a square matrix")
-        values: list[tuple[int, str]] = []
-        for no, ln in entries:
-            for tok in ln.split():
-                values.append((no, tok))
+        values = [(no, tok) for no, ln in entries for tok in ln.split()]
         # Check the count before building anything the header's size implies.
         expected = rows * cols if symmetry == "general" else rows * (rows + 1) // 2
         if len(values) != expected:
@@ -102,17 +108,14 @@ def read_matrix_market(text) -> np.ndarray:
             raise MatrixMarketError(
                 f"line {last}: expected {expected} entries, found {len(values)}"
             )
+        parsed = [_parse_real(tok, no) for no, tok in values]
+        # flat cells in column-major order; symmetric storage lists the lower triangle
         if symmetry == "general":
-            coords = [(i, j) for j in range(cols) for i in range(rows)]
+            cells = np.arange(rows * cols).reshape(rows, cols).ravel(order="F")
         else:
-            coords = [(i, j) for j in range(cols) for i in range(j, rows)]
-        mat = np.zeros((rows, cols))
-        for (no, tok), (i, j) in zip(values, coords):
-            value = _parse_real(tok, no)
-            mat[i, j] = value
-            if symmetry == "symmetric":
-                mat[j, i] = value
-        return mat
+            j, i = np.triu_indices(rows)
+            cells = i * cols + j
+        return _fill(np.zeros((rows, cols)), cells, parsed, symmetry)
 
     toks = size_line.split()
     if len(toks) != 3:
@@ -161,11 +164,7 @@ def read_matrix_market(text) -> np.ndarray:
             f"line {entries[k][0]}: duplicate entry ({i + 1}, {j + 1}), "
             f"first given on line {entries[np.argmax(cells == cells[k])][0]}"
         )
-    mat.flat[cells] = values
-    if symmetry == "symmetric":
-        ri, ci = np.divmod(cells, cols)
-        mat[ci, ri] = values
-    return mat
+    return _fill(mat, cells, values, symmetry)
 
 
 def write_matrix_market(a) -> str:
@@ -173,9 +172,7 @@ def write_matrix_market(a) -> str:
     a = as_matrix(a)
     rows, cols = a.shape
     out = ["%%MatrixMarket matrix array real general", f"{rows} {cols}"]
-    for j in range(cols):
-        for i in range(rows):
-            out.append(f"{a[i, j]:.17g}")
+    out.extend(f"{value:.17g}" for value in a.T.ravel().tolist())
     return "\n".join(out) + "\n"
 
 

@@ -24,13 +24,19 @@ class SplitVector:
     null_part: np.ndarray
 
 
-def split(decomp: SpectralDecomposition, v) -> SplitVector:
-    """Split v into range coordinates Q1^T v and null coordinates Q2^T v."""
+def _checked(decomp: SpectralDecomposition, v) -> np.ndarray:
+    """v as a vector, after checking its length against the decomposition."""
     v = as_vector(v)
     if v.shape[0] != decomp.dim:
         raise ValueError(
             f"vector length {v.shape[0]} does not match decomposition dimension {decomp.dim}"
         )
+    return v
+
+
+def split(decomp: SpectralDecomposition, v) -> SplitVector:
+    """Split v into range coordinates Q1^T v and null coordinates Q2^T v."""
+    v = _checked(decomp, v)
     return SplitVector(decomp.q1.T @ v, decomp.q2.T @ v)
 
 
@@ -45,11 +51,7 @@ def pseudoinverse_apply(decomp: SpectralDecomposition, b) -> np.ndarray:
     Inverts eigenvalue-wise on the numerical range only; the null component
     of b is annihilated, so the result always lies in range(A).
     """
-    b = as_vector(b)
-    if b.shape[0] != decomp.dim:
-        raise ValueError(
-            f"vector length {b.shape[0]} does not match decomposition dimension {decomp.dim}"
-        )
+    b = _checked(decomp, b)
     b1 = decomp.q1.T @ b
     return decomp.q1 @ (b1 / decomp.lambdas_r)
 
@@ -84,11 +86,7 @@ def consistency_check(
     null_norm is ||Q2^T b||; the system counts as consistent when it does not
     exceed tol * max(||b||, 1).
     """
-    b = as_vector(b)
-    if b.shape[0] != decomp.dim:
-        raise ValueError(
-            f"vector length {b.shape[0]} does not match decomposition dimension {decomp.dim}"
-        )
+    b = _checked(decomp, b)
     null_norm = float(np.linalg.norm(decomp.q2.T @ b))
     consistent = null_norm <= tol * max(float(np.linalg.norm(b)), 1.0)
     return ConsistencyReport(consistent, null_norm)

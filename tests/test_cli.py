@@ -273,6 +273,21 @@ class TestGenerateCommand:
         assert code == 1  # gap makes the system inconsistent, cg cannot converge
         assert dec.rank == 8
 
+    @pytest.mark.parametrize(
+        "payload",
+        [[1, 2], "spsd", {"dims": 5}, {"spectrum": None}, {"consistency_gap": None}],
+        ids=["list", "string", "int-dims", "null-spectrum", "null-gap"],
+    )
+    def test_malformed_spec_exits_2(self, tmp_path, capsys, payload):
+        spec_path = _spec_file(tmp_path)
+        if isinstance(payload, dict):
+            spec_path.write_text(json.dumps({**json.loads(spec_path.read_text()), **payload}))
+        else:
+            spec_path.write_text(json.dumps(payload))
+        code = run_command(["generate", "--spec", str(spec_path), "--out-dir", str(tmp_path / "g")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestRunReportSerialization:
     def test_lossless_round_trip(self, spsd_problem):

@@ -17,9 +17,10 @@ def test_all_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_exits_cleanly(demo, tmp_path):
-    # TMPDIR keeps the files the CLI demo writes inside the test's own directory
+    # TMPDIR points at the test's own directory, so a demo that leaves files behind shows
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     done = subprocess.run(
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+    assert list(tmp_path.iterdir()) == []

@@ -42,6 +42,16 @@ class TestRead:
         text = "%%MatrixMarket matrix array real symmetric\n2 2\n2\n1\n3\n"
         np.testing.assert_array_equal(read_matrix_market(text), [[2.0, 1.0], [1.0, 3.0]])
 
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    def test_array_symmetric_lower_triangle_sizes(self, n):
+        full = np.arange(n * n, dtype=float).reshape(n, n)
+        full = full + full.T - 0.5
+        lower = [full[i, j] for j in range(n) for i in range(j, n)]
+        text = f"%%MatrixMarket matrix array real symmetric\n{n} {n}\n" + "\n".join(
+            f"{v:.17g}" for v in lower
+        )
+        np.testing.assert_array_equal(read_matrix_market(text), full)
+
     def test_comments_and_blank_lines_skipped(self):
         text = (
             "%%MatrixMarket matrix coordinate real general\n"
