@@ -123,7 +123,7 @@ class ProblemSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProblemSpec":
-        """Build a spec from its JSON form; a malformed or missing field raises ValueError."""
+        """Build a spec from its JSON form; a non-object or a bad field raises ValueError."""
         if not isinstance(d, dict):
             raise ValueError(f"problem spec must be an object, got {type(d).__name__}")
         try:
