@@ -225,6 +225,8 @@ def _cmd_diagnose(args) -> int:
     x0 = _x0_from_flag(args.x0, a.shape[0])
     spectral = _spectral_pipeline("cg", a, args.rank_tol)
     decomp = spectral[0]
+    if decomp.rank == 0:
+        raise ValueError(f"numerical rank is 0 at --rank-tol {args.rank_tol}: nothing to compare")
     trace = cg_solve(a, b, x0, SolverConfig(max_iters=args.iters))
     dtrace = decomposed_cg_run(decomp, b, x0, args.iters)
     equivalence = equivalence_check(trace, dtrace, decomp, args.tol)

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mmio import MAX_CELLS
+
 KINDS = ("spsd", "rectangular")
 X0_MODES = ("zero", "random_range", "random_full")
 
@@ -84,6 +86,8 @@ class ProblemSpec:
         m, n = self.dims
         if m < 1 or n < 1:
             raise ValueError("dims must be positive")
+        if max(m, n) ** 2 > MAX_CELLS:
+            raise ValueError(f"dims {[m, n]} exceed the limit max(m, n)**2 <= {MAX_CELLS}")
         if self.kind == "spsd":
             if m != n:
                 raise ValueError("spsd problems must be square")
@@ -92,6 +96,9 @@ class ProblemSpec:
         else:
             if len(self.spectrum) != min(m, n):
                 raise ValueError("rectangular spectrum must list min(m, n) singular values")
+        for name in ("spectrum", "consistency_gap"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if any(s < 0.0 for s in self.spectrum):
             raise ValueError("spectrum must be nonnegative")
         if any(

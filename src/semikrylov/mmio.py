@@ -3,9 +3,11 @@
 Reads the ``array`` and ``coordinate`` formats with ``real`` entries and
 ``general`` or ``symmetric`` storage; symmetric storage is expanded to a
 full dense matrix. A coordinate entry given twice is rejected, not summed
-or overwritten. Parse failures raise MatrixMarketError with the 1-based
-line number. Writing always emits ``array real general`` with 17
-significant digits, which round-trips float64 exactly.
+or overwritten. A size line may declare at most MAX_CELLS = 10**8 cells.
+A well-formed body is parsed in bulk, any other entry by entry, so parse
+failures still raise MatrixMarketError with the first bad 1-based line.
+Writing always emits ``array real general`` with 17 significant digits,
+which round-trips float64 exactly.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ class MatrixMarketError(ValueError):
 
 
 _BANNER = "%%matrixmarket"
+MAX_CELLS = 10**8
 
 
 def _parse_positive_int(token: str, line_no: int, what: str) -> int:
@@ -55,6 +58,26 @@ def _fill(mat: np.ndarray, cells: np.ndarray, values: list, symmetry: str) -> np
     return mat
 
 
+def _entries(lines: list, after: int):
+    """Yield (line number, stripped line) for each nonblank, non-comment line after line `after`."""
+    numbered = ((no, ln.strip()) for no, ln in enumerate(lines[after:], start=after + 1))
+    return ((no, ln) for no, ln in numbered if ln and not ln.startswith("%"))
+
+
+def _bulk_coordinate(body: list, tokens: list, rows: int, cols: int, nnz: int, symmetry: str):
+    """Cells and values of a body of nnz valid 'row col value' lines, else None."""
+    if len(body) != nnz or set(map(len, map(str.split, body))) != {3}:
+        return None
+    try:
+        i, j = (np.array(list(map(int, tokens[k::3])), dtype=np.int64) for k in (0, 1))
+        values = np.array(list(map(float, tokens[2::3])))
+    except (ValueError, OverflowError):
+        return None
+    valid = (i >= 1) & (i <= rows) & (j >= 1) & (j <= cols) & np.isfinite(values)
+    valid &= (symmetry == "general") | (i >= j)
+    return ((i - 1) * cols + (j - 1), values) if valid.all() else None
+
+
 def read_matrix_market(text) -> np.ndarray:
     """Parse Matrix Market content (str or bytes) into a dense float matrix."""
     if isinstance(text, (bytes, bytearray)):
@@ -82,33 +105,52 @@ def read_matrix_market(text) -> np.ndarray:
             f"line 1: unsupported symmetry '{symmetry}' (expected 'general' or 'symmetric')"
         )
 
-    body = [
-        (no, stripped)
-        for no, stripped in ((i + 1, ln.strip()) for i, ln in enumerate(lines[1:], start=1))
-        if stripped and not stripped.startswith("%")
-    ]
-    if not body:
+    size_no, size_line = next(_entries(lines, 1), (None, None))
+    if size_no is None:
         raise MatrixMarketError(f"line {len(lines)}: missing size line")
-    size_no, size_line = body[0]
-    entries = body[1:]
 
+    toks = size_line.split()
+    if len(toks) != (2 if fmt == "array" else 3):
+        shape = "rows cols" if fmt == "array" else "rows cols nnz"
+        raise MatrixMarketError(f"line {size_no}: {fmt} size line must be '{shape}'")
+    rows = _parse_positive_int(toks[0], size_no, "row count")
+    cols = _parse_positive_int(toks[1], size_no, "column count")
+    if fmt == "coordinate":
+        try:
+            nnz = int(toks[2])
+        except ValueError:
+            raise MatrixMarketError(f"line {size_no}: entry count {toks[2]!r} is not an integer") from None
+        if nnz < 0:
+            raise MatrixMarketError(f"line {size_no}: entry count must be nonnegative, got {nnz}")
+    if symmetry == "symmetric" and rows != cols:
+        raise MatrixMarketError(f"line {size_no}: symmetric storage requires a square matrix")
+    if rows * cols > MAX_CELLS:
+        raise MatrixMarketError(f"line {size_no}: {rows} x {cols} is over the {MAX_CELLS}-cell limit")
+
+    # The bulk parse accepts only what the per-entry parse accepts and raises
+    # nothing; whatever it rejects, the per-entry parse names the first bad line.
+    body = lines[size_no:]
+    joined = " ".join(body)
+    if "%" in joined:
+        body = [ln for ln in body if not ln.lstrip().startswith("%")]
+        joined = " ".join(body)
+    tokens = joined.split()
     if fmt == "array":
-        toks = size_line.split()
-        if len(toks) != 2:
-            raise MatrixMarketError(f"line {size_no}: array size line must be 'rows cols'")
-        rows = _parse_positive_int(toks[0], size_no, "row count")
-        cols = _parse_positive_int(toks[1], size_no, "column count")
-        if symmetry == "symmetric" and rows != cols:
-            raise MatrixMarketError(f"line {size_no}: symmetric storage requires a square matrix")
-        values = [(no, tok) for no, ln in entries for tok in ln.split()]
         # Check the count before building anything the header's size implies.
         expected = rows * cols if symmetry == "general" else rows * (rows + 1) // 2
-        if len(values) != expected:
-            last = entries[-1][0] if entries else size_no
-            raise MatrixMarketError(
-                f"line {last}: expected {expected} entries, found {len(values)}"
-            )
-        parsed = [_parse_real(tok, no) for no, tok in values]
+        try:
+            parsed = np.array(list(map(float, tokens))) if len(tokens) == expected else None
+        except ValueError:
+            parsed = None
+        if parsed is None or not np.isfinite(parsed).all():
+            entries = list(_entries(lines, size_no))
+            values = [(no, tok) for no, ln in entries for tok in ln.split()]
+            if len(values) != expected:
+                last = entries[-1][0] if entries else size_no
+                raise MatrixMarketError(
+                    f"line {last}: expected {expected} entries, found {len(values)}"
+                )
+            parsed = [_parse_real(tok, no) for no, tok in values]
         # flat cells in column-major order; symmetric storage lists the lower triangle
         if symmetry == "general":
             cells = np.arange(rows * cols).reshape(rows, cols).ravel(order="F")
@@ -117,63 +159,52 @@ def read_matrix_market(text) -> np.ndarray:
             cells = i * cols + j
         return _fill(np.zeros((rows, cols)), cells, parsed, symmetry)
 
-    toks = size_line.split()
-    if len(toks) != 3:
-        raise MatrixMarketError(f"line {size_no}: coordinate size line must be 'rows cols nnz'")
-    rows = _parse_positive_int(toks[0], size_no, "row count")
-    cols = _parse_positive_int(toks[1], size_no, "column count")
-    try:
-        nnz = int(toks[2])
-    except ValueError:
-        raise MatrixMarketError(f"line {size_no}: entry count {toks[2]!r} is not an integer") from None
-    if nnz < 0:
-        raise MatrixMarketError(f"line {size_no}: entry count must be nonnegative, got {nnz}")
-    if symmetry == "symmetric" and rows != cols:
-        raise MatrixMarketError(f"line {size_no}: symmetric storage requires a square matrix")
-    if len(entries) != nnz:
-        last = entries[-1][0] if entries else size_no
-        raise MatrixMarketError(f"line {last}: expected {nnz} entries, found {len(entries)}")
-
-    mat = np.zeros((rows, cols))
-    cells, values = [], []
-    for no, ln in entries:
-        toks = ln.split()
-        if len(toks) != 3:
-            raise MatrixMarketError(f"line {no}: coordinate entry must be 'row col value'")
-        i = _parse_positive_int(toks[0], no, "row index")
-        j = _parse_positive_int(toks[1], no, "column index")
-        if i > rows:
-            raise MatrixMarketError(f"line {no}: row index {i} out of range 1..{rows}")
-        if j > cols:
-            raise MatrixMarketError(f"line {no}: column index {j} out of range 1..{cols}")
-        values.append(_parse_real(toks[2], no))
-        if symmetry == "symmetric" and i < j:
-            raise MatrixMarketError(
-                f"line {no}: symmetric entries must satisfy row >= col, got ({i}, {j})"
-            )
-        cells.append((i - 1) * cols + (j - 1))
+    parsed = _bulk_coordinate(body, tokens, rows, cols, nnz, symmetry)
+    if parsed is None:
+        entries = list(_entries(lines, size_no))
+        if len(entries) != nnz:
+            last = entries[-1][0] if entries else size_no
+            raise MatrixMarketError(f"line {last}: expected {nnz} entries, found {len(entries)}")
+        cells, values = [], []
+        for no, ln in entries:
+            toks = ln.split()
+            if len(toks) != 3:
+                raise MatrixMarketError(f"line {no}: coordinate entry must be 'row col value'")
+            i = _parse_positive_int(toks[0], no, "row index")
+            j = _parse_positive_int(toks[1], no, "column index")
+            if i > rows:
+                raise MatrixMarketError(f"line {no}: row index {i} out of range 1..{rows}")
+            if j > cols:
+                raise MatrixMarketError(f"line {no}: column index {j} out of range 1..{cols}")
+            values.append(_parse_real(toks[2], no))
+            if symmetry == "symmetric" and i < j:
+                raise MatrixMarketError(
+                    f"line {no}: symmetric entries must satisfy row >= col, got ({i}, {j})"
+                )
+            cells.append((i - 1) * cols + (j - 1))
+        parsed = np.array(cells, dtype=np.int64), values
+    cells, values = parsed
 
     # one stable sort finds repeated cells; k is the earliest entry that repeats one
-    cells = np.array(cells, dtype=np.int64)
     order = np.argsort(cells, kind="stable")
     repeats = order[1:][np.diff(cells[order]) == 0]
     if repeats.size:
         k = repeats.min()
         i, j = divmod(int(cells[k]), cols)
+        entries = list(_entries(lines, size_no))
         raise MatrixMarketError(
             f"line {entries[k][0]}: duplicate entry ({i + 1}, {j + 1}), "
             f"first given on line {entries[np.argmax(cells == cells[k])][0]}"
         )
-    return _fill(mat, cells, values, symmetry)
+    return _fill(np.zeros((rows, cols)), cells, values, symmetry)
 
 
 def write_matrix_market(a) -> str:
     """Serialize a dense matrix as 'array real general' Matrix Market text."""
     a = as_matrix(a)
     rows, cols = a.shape
-    out = ["%%MatrixMarket matrix array real general", f"{rows} {cols}"]
-    out.extend(f"{value:.17g}" for value in a.T.ravel().tolist())
-    return "\n".join(out) + "\n"
+    body = ("%.17g\n" * a.size) % tuple(a.T.ravel().tolist())
+    return f"%%MatrixMarket matrix array real general\n{rows} {cols}\n" + body
 
 
 def load_matrix_market(path) -> np.ndarray:

@@ -178,6 +178,16 @@ class TestDiagnoseCommand:
         assert report.checks["null_residual_constant"]
         assert not report.diagnostics["consistent"]
 
+    def test_rank_cut_that_keeps_nothing_exits_2(self, spsd_problem, capsys):
+        tmp_path, _, _ = spsd_problem
+        code = run_command([
+            "diagnose", "--matrix", str(tmp_path / "a.mtx"), "--rhs", str(tmp_path / "b.mtx"),
+            "--iters", "8", "--rank-tol", "10", "--out", str(tmp_path / "diag.json"),
+        ])
+        assert code == 2
+        assert "numerical rank is 0 at --rank-tol 10" in capsys.readouterr().err
+        assert not (tmp_path / "diag.json").exists()
+
 
 class TestVerifyBoundsCommand:
     @pytest.mark.parametrize(
@@ -287,6 +297,26 @@ class TestGenerateCommand:
         code = run_command(["generate", "--spec", str(spec_path), "--out-dir", str(tmp_path / "g")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"dims": [3, 3], "spectrum": [float("inf"), 1, 0]}, "spectrum"),
+            ({"dims": [3, 3], "spectrum": [float("nan"), 1, 0]}, "spectrum"),
+            ({"consistency_gap": float("inf")}, "consistency_gap"),
+            # the spectrum is too short as well, so no version of the check allocates 20000^2
+            ({"dims": [20000, 20000]}, "dims"),
+        ],
+        ids=["inf-spectrum", "nan-spectrum", "inf-gap", "huge-dims"],
+    )
+    def test_non_finite_or_oversized_spec_exits_2(self, tmp_path, capsys, recwarn, payload, field):
+        spec_path = _spec_file(tmp_path, **payload)
+        code = run_command(["generate", "--spec", str(spec_path), "--out-dir", str(tmp_path / "g")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {field} ")
+        assert "RuntimeWarning" not in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 class TestRunReportSerialization:
