@@ -7,11 +7,16 @@ command ends in one report step: the JSON report is written atomically to
 reads each column from the report array of the same name. The environment
 variable SEMIKRYLOV_SEED overrides the seed of a problem spec file; an
 explicit --seed flag overrides both.
+
+run_command may be called repeatedly in one process. The calls share one
+parser, built on the first call, and each call reads the environment
+afresh, so neither parsing nor SEMIKRYLOV_SEED carries over between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -61,15 +66,6 @@ def _x0_from_flag(flag: str, length: int) -> np.ndarray:
     raise ValueError(f"--x0 must be 'zero' or 'file:<path>', got {flag!r}")
 
 
-def _solver_config(args) -> SolverConfig:
-    kwargs = {}
-    if getattr(args, "max_iters", None) is not None:
-        kwargs["max_iters"] = args.max_iters
-    if getattr(args, "rel_tol", None) is not None:
-        kwargs["rel_tol"] = args.rel_tol
-    return SolverConfig(**kwargs)
-
-
 def _resolve_seed(file_seed, args):
     if getattr(args, "seed", None) is not None:
         return args.seed
@@ -87,7 +83,10 @@ def _resolve_seed(file_seed, args):
 def _load_problem(args):
     """Read the --spec file, resolve its seed, and build the seeded problem."""
     with open(args.spec, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
+        try:
+            raw = json.load(handle)
+        except RecursionError:
+            raise ValueError("problem spec is nested too deeply to parse") from None
     if isinstance(raw, dict):
         raw["seed"] = _resolve_seed(raw.get("seed"), args)
     spec = ProblemSpec.from_dict(raw)
@@ -164,28 +163,14 @@ def _finish(args, command, method, dims, spectral, trace, checks, **fields) -> i
     else:
         sys.stdout.write(text)
     if getattr(args, "trace_csv", None):
-        columns = {
-            "alpha": report.alphas,
-            "beta": report.betas,
-            "res_norm": report.res_norms,
-            "normal_res_norm": report.normal_res_norms,
-            "range_res_norm": report.range_res_norms,
-            "null_res_norm": report.null_res_norms,
-            "measured_bound_quantity": report.measured,
-            "bound_value": report.bound,
-        }
-        rows = [
-            {"iter": k, **{col: v[k] for col, v in columns.items() if v is not None and k < len(v)}}
-            for k in range(len(report.res_norms))
-        ]
-        write_text_atomic(args.trace_csv, trace_csv_text(rows))
+        write_text_atomic(args.trace_csv, trace_csv_text(report))
     return 0 if passed else 1
 
 
 def _cmd_solve(args) -> int:
     a = _load_matrix(args.matrix)
     b = _load_vector(args.rhs)
-    cfg = _solver_config(args)
+    cfg = SolverConfig(max_iters=args.max_iters, rel_tol=args.rel_tol)
     m, n = a.shape
     start = _x0_from_flag(args.x0, m if args.method == "cgne" else n)
 
@@ -267,7 +252,7 @@ def _cmd_verify_bounds(args) -> int:
     spec, problem = _load_problem(args)
     a, b = problem.a, problem.b
     m, n = a.shape
-    cfg = _solver_config(args)
+    cfg = SolverConfig(max_iters=args.max_iters, rel_tol=args.rel_tol)
 
     spectral = _spectral_pipeline(args.method, a, args.rank_tol)
     dec = spectral[0]
@@ -323,14 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_numeric(p, with_iters=True):
         if with_iters:
-            p.add_argument("--max-iters", type=int, default=None, help="iteration cap")
-            p.add_argument("--rel-tol", type=float, default=None, help="relative stopping tolerance")
-        p.add_argument(
-            "--rank-tol",
-            type=float,
-            default=DEFAULT_RANK_TOL,
-            help="relative threshold for the numerical rank cut",
-        )
+            p.add_argument("--max-iters", type=int, help="iteration cap")
+            p.add_argument("--rel-tol", type=float, default=SolverConfig.rel_tol,
+                           help="relative stopping tolerance")
+        p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL,
+                       help="relative threshold for the numerical rank cut")
 
     solve = sub.add_parser("solve", help="run one method and compare against the oracle solution")
     solve.add_argument("--method", required=True, choices=["cg", "cgls", "cgne"])
@@ -374,11 +356,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# run_command's parser, built on first use; parsing leaves it unchanged
+_shared_parser = functools.cache(build_parser)
+
+
 def run_command(argv=None) -> int:
     """Parse argv, run the pipeline, return the exit code (0 pass / 1 fail / 2 error)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

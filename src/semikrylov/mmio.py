@@ -13,6 +13,7 @@ which round-trips float64 exactly.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -25,6 +26,9 @@ class MatrixMarketError(ValueError):
 
 _BANNER = "%%matrixmarket"
 MAX_CELLS = 10**8
+# one line and its end, at the line boundaries of str.splitlines; the last match is empty
+_EOL = "\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
+_LINE = re.compile(f"[^{_EOL}]*(?:\r\n|[{_EOL}]|\\Z)")
 
 
 def _parse_positive_int(token: str, line_no: int, what: str) -> int:
@@ -58,10 +62,10 @@ def _fill(mat: np.ndarray, cells: np.ndarray, values: list, symmetry: str) -> np
     return mat
 
 
-def _entries(lines: list, after: int):
-    """Yield (line number, stripped line) for each nonblank, non-comment line after line `after`."""
-    numbered = ((no, ln.strip()) for no, ln in enumerate(lines[after:], start=after + 1))
-    return ((no, ln) for no, ln in numbered if ln and not ln.startswith("%"))
+def _entries(body: str, after: int) -> list:
+    """(line number, stripped line) of each nonblank, non-comment line of body, from after + 1."""
+    numbered = ((no, ln.strip()) for no, ln in enumerate(body.splitlines(), start=after + 1))
+    return [(no, ln) for no, ln in numbered if ln and not ln.startswith("%")]
 
 
 def _bulk_coordinate(body: list, tokens: list, rows: int, cols: int, nnz: int, symmetry: str):
@@ -82,11 +86,11 @@ def read_matrix_market(text) -> np.ndarray:
     """Parse Matrix Market content (str or bytes) into a dense float matrix."""
     if isinstance(text, (bytes, bytearray)):
         text = bytes(text).decode("latin-1")
-    lines = text.splitlines()
-    if not lines:
+    if not text:
         raise MatrixMarketError("line 1: empty input, expected a Matrix Market header")
 
-    header = lines[0].split()
+    lines = _LINE.finditer(text)
+    header = next(lines)[0].split()
     if len(header) != 5 or header[0].lower() != _BANNER:
         raise MatrixMarketError(
             "line 1: expected header '%%MatrixMarket matrix <format> <field> <symmetry>'"
@@ -105,11 +109,12 @@ def read_matrix_market(text) -> np.ndarray:
             f"line 1: unsupported symmetry '{symmetry}' (expected 'general' or 'symmetric')"
         )
 
-    size_no, size_line = next(_entries(lines, 1), (None, None))
-    if size_no is None:
-        raise MatrixMarketError(f"line {len(lines)}: missing size line")
+    size_no, size = next(((no, m) for no, m in enumerate(lines, start=2)
+                          if m[0].strip() and not m[0].lstrip().startswith("%")), (None, None))
+    if size is None:
+        raise MatrixMarketError(f"line {len(text.splitlines())}: missing size line")
 
-    toks = size_line.split()
+    toks = size[0].split()
     if len(toks) != (2 if fmt == "array" else 3):
         shape = "rows cols" if fmt == "array" else "rows cols nnz"
         raise MatrixMarketError(f"line {size_no}: {fmt} size line must be '{shape}'")
@@ -129,12 +134,13 @@ def read_matrix_market(text) -> np.ndarray:
 
     # The bulk parse accepts only what the per-entry parse accepts and raises
     # nothing; whatever it rejects, the per-entry parse names the first bad line.
-    body = lines[size_no:]
-    joined = " ".join(body)
-    if "%" in joined:
-        body = [ln for ln in body if not ln.lstrip().startswith("%")]
-        joined = " ".join(body)
-    tokens = joined.split()
+    # Every splitlines boundary is whitespace to str.split, so the body's lines
+    # are listed only to drop comments, to check coordinate rows, or on failure.
+    rest = text[size.end():]
+    body = None
+    if "%" in rest:
+        body = [ln for ln in rest.splitlines() if not ln.lstrip().startswith("%")]
+    tokens = rest.split() if body is None else " ".join(body).split()
     if fmt == "array":
         # Check the count before building anything the header's size implies.
         expected = rows * cols if symmetry == "general" else rows * (rows + 1) // 2
@@ -143,7 +149,7 @@ def read_matrix_market(text) -> np.ndarray:
         except ValueError:
             parsed = None
         if parsed is None or not np.isfinite(parsed).all():
-            entries = list(_entries(lines, size_no))
+            entries = _entries(rest, size_no)
             values = [(no, tok) for no, ln in entries for tok in ln.split()]
             if len(values) != expected:
                 last = entries[-1][0] if entries else size_no
@@ -159,9 +165,10 @@ def read_matrix_market(text) -> np.ndarray:
             cells = i * cols + j
         return _fill(np.zeros((rows, cols)), cells, parsed, symmetry)
 
-    parsed = _bulk_coordinate(body, tokens, rows, cols, nnz, symmetry)
+    parsed = _bulk_coordinate(rest.splitlines() if body is None else body, tokens, rows, cols,
+                              nnz, symmetry)
     if parsed is None:
-        entries = list(_entries(lines, size_no))
+        entries = _entries(rest, size_no)
         if len(entries) != nnz:
             last = entries[-1][0] if entries else size_no
             raise MatrixMarketError(f"line {last}: expected {nnz} entries, found {len(entries)}")
@@ -191,7 +198,7 @@ def read_matrix_market(text) -> np.ndarray:
     if repeats.size:
         k = repeats.min()
         i, j = divmod(int(cells[k]), cols)
-        entries = list(_entries(lines, size_no))
+        entries = _entries(rest, size_no)
         raise MatrixMarketError(
             f"line {entries[k][0]}: duplicate entry ({i + 1}, {j + 1}), "
             f"first given on line {entries[np.argmax(cells == cells[k])][0]}"

@@ -8,18 +8,20 @@ import json
 import os
 import tempfile
 from dataclasses import asdict, dataclass
+from itertools import islice, zip_longest
 
-TRACE_COLUMNS = [
-    "iter",
-    "alpha",
-    "beta",
-    "res_norm",
-    "normal_res_norm",
-    "range_res_norm",
-    "null_res_norm",
-    "measured_bound_quantity",
-    "bound_value",
-]
+# each CSV trace column after "iter", and the RunReport array it reads
+_TRACE_FIELDS = {
+    "alpha": "alphas",
+    "beta": "betas",
+    "res_norm": "res_norms",
+    "normal_res_norm": "normal_res_norms",
+    "range_res_norm": "range_res_norms",
+    "null_res_norm": "null_res_norms",
+    "measured_bound_quantity": "measured",
+    "bound_value": "bound",
+}
+TRACE_COLUMNS = ["iter", *_TRACE_FIELDS]
 
 
 @dataclass(frozen=True)
@@ -54,9 +56,7 @@ class RunReport:
     diagnostics: dict | None = None
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["dims"] = list(self.dims)
-        return d
+        return asdict(self) | {"dims": list(self.dims)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunReport":
@@ -65,20 +65,26 @@ class RunReport:
         return cls(**d)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        # json.dumps only reads the fields, so they are encoded in place, not via a deep copy
+        return json.dumps(vars(self) | {"dims": list(self.dims)}, indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
         return cls.from_dict(json.loads(text))
 
 
-def trace_csv_text(rows: list[dict]) -> str:
-    """Render per-iteration rows as CSV with the fixed trace columns."""
+def trace_csv_text(report: RunReport) -> str:
+    """Render the report's per-iteration arrays as CSV with the fixed trace columns.
+
+    There is one row per entry of ``res_norms``; a column that is None or
+    shorter than that leaves its cells empty.
+    """
+    states = len(report.res_norms)
+    columns = [getattr(report, name) or () for name in _TRACE_FIELDS.values()]
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=TRACE_COLUMNS)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({col: row.get(col, "") for col in TRACE_COLUMNS})
+    writer = csv.writer(buf)
+    writer.writerow(TRACE_COLUMNS)
+    writer.writerows(islice(zip_longest(range(states), *columns, fillvalue=""), states))
     return buf.getvalue()
 
 

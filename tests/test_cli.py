@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from semikrylov.cli import run_command
+from semikrylov.cli import SEED_ENV, run_command
 from semikrylov.genmat import ProblemSpec, make_problem
 from semikrylov.linalg import symmetric_eig
 from semikrylov.mmio import load_matrix_market, save_matrix_market, write_matrix_market
@@ -298,6 +303,13 @@ class TestGenerateCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_deeply_nested_spec_exits_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text("[" * 100_000)
+        code = run_command(["generate", "--spec", str(spec_path), "--out-dir", str(tmp_path / "g")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: problem spec is nested too deeply to parse\n"
+
     @pytest.mark.parametrize(
         "payload, field",
         [
@@ -337,3 +349,144 @@ class TestRunReportSerialization:
         write_text_atomic(target, "second")
         assert target.read_text() == "second"
         assert list(tmp_path.iterdir()) == [target]
+
+
+# Inputs for the argv fuzz test; "{d}" is its directory. Every output path lies under it,
+# and no flag value creates a directory an input path names.
+FUZZ_MATRICES = ["{d}/spsd/a.mtx", "{d}/spsd/b.mtx", "{d}/spsd/x0.mtx", "{d}/gap/b.mtx",
+                 "{d}/tall/a.mtx", "{d}/tall/b.mtx", "{d}/wide/a.mtx", "{d}/wide/b.mtx",
+                 "{d}/wide/y0.mtx", "{d}/bad/empty", "{d}/bad/binary.mtx", "{d}/bad/complex.mtx",
+                 "{d}/bad/short.mtx", "{d}/bad/nan.mtx", "{d}/bad/unsymmetric.mtx",
+                 "{d}/spsd.json", "{d}/missing.mtx", "{d}/out"]
+FUZZ_SPECS = ["{d}/spsd.json", "{d}/gap.json", "{d}/tall.json", "{d}/wide.json",
+              "{d}/noseed.json", "{d}/bad/truncated.json", "{d}/bad/list.json",
+              "{d}/bad/types.json", "{d}/bad/nested.json", "{d}/bad/latin1.json",
+              "{d}/bad/huge.json", "{d}/bad/empty", "{d}/spsd/a.mtx", "{d}/missing.json", "{d}/out"]
+FUZZ_VALUES = {
+    "--method": ["cg", "cgls", "cgne", "gmres", ""],
+    "--matrix": FUZZ_MATRICES,
+    "--rhs": FUZZ_MATRICES,
+    "--x0": ["zero", "ones", "", "file:", *(f"file:{path}" for path in FUZZ_MATRICES)],
+    "--max-iters": ["1", "5", "40", "0", "-3", "2.5", "x"],
+    "--rel-tol": ["1e-8", "1e-300", "0", "-1", "nan", "inf", "x"],
+    "--rank-tol": ["1e-10", "0.5", "10", "0", "-1", "nan", "inf", "x"],
+    "--iters": ["0", "1", "4", "30", "-1", "x"],
+    "--tol": ["1e-8", "0", "-1", "nan", "inf", "x"],
+    "--spec": FUZZ_SPECS,
+    "--seed": ["0", "3", "-1", str(2**64), "1e3", "x"],
+    "--out": ["{d}/out/report.json", "{d}/out", "{d}/missing/report.json"],
+    "--trace-csv": ["{d}/out/trace.csv", "{d}/out", "{d}/missing/trace.csv"],
+    "--out-dir": ["{d}/out/generated", "{d}/spsd/a.mtx"],
+}
+# each subcommand's required flags with values that run, then its other flags
+FUZZ_BASES = {
+    "solve": ["--method", "cg", "--matrix", "{d}/spsd/a.mtx", "--rhs", "{d}/spsd/b.mtx"],
+    "diagnose": ["--matrix", "{d}/spsd/a.mtx", "--rhs", "{d}/spsd/b.mtx", "--iters", "4"],
+    "verify-bounds": ["--method", "cg", "--spec", "{d}/spsd.json"],
+    "generate": ["--spec", "{d}/spsd.json", "--out-dir", "{d}/out/generated"],
+}
+FUZZ_OPTIONAL = {
+    "solve": ["--x0", "--max-iters", "--rel-tol", "--rank-tol", "--out", "--trace-csv"],
+    "diagnose": ["--x0", "--tol", "--rank-tol", "--out"],
+    "verify-bounds": ["--seed", "--max-iters", "--rel-tol", "--rank-tol", "--out", "--trace-csv"],
+    "generate": ["--seed"],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "out").mkdir()
+    (d / "bad").mkdir()
+    specs = {
+        "spsd": {"kind": "spsd", "dims": [6, 6], "spectrum": [1.0, 0.5, 0.2, 0.1, 0.0, 0.0],
+                 "seed": 1, "x0_mode": "random_full"},
+        "gap": {"kind": "spsd", "dims": [6, 6], "spectrum": [1.0, 0.5, 0.2, 0.1, 0.0, 0.0],
+                "seed": 4, "consistency_gap": 0.1},
+        "tall": {"kind": "rectangular", "dims": [7, 5], "spectrum": [1.0, 0.5, 0.2, 0.0, 0.0],
+                 "seed": 2, "consistency_gap": 0.1},
+        "wide": {"kind": "rectangular", "dims": [5, 7], "spectrum": [1.0, 0.5, 0.2, 0.1, 0.0],
+                 "seed": 3},
+    }
+    for name, payload in specs.items():
+        (d / f"{name}.json").write_text(json.dumps(payload))
+        problem = make_problem(ProblemSpec.from_dict(payload))
+        (d / name).mkdir()
+        save_matrix_market(d / name / "a.mtx", problem.a)
+        save_matrix_market(d / name / "b.mtx", problem.b.reshape(-1, 1))
+        save_matrix_market(d / name / "x0.mtx", problem.x0.reshape(-1, 1))
+    save_matrix_market(d / "wide" / "y0.mtx", np.ones((5, 1)))
+    noseed = {key: value for key, value in specs["spsd"].items() if key != "seed"}
+    (d / "noseed.json").write_text(json.dumps(noseed))
+    array = "%%MatrixMarket matrix array real general\n"
+    files = {
+        "empty": "",
+        "complex.mtx": "%%MatrixMarket matrix array complex general\n2 1\n1\n2\n",
+        "short.mtx": array + "3 1\n1\n2\n",
+        "nan.mtx": array + "2 1\n1\nnan\n",
+        "unsymmetric.mtx": array + "2 2\n1\n0\n2\n1\n",
+        "truncated.json": '{"kind": "spsd",',
+        "list.json": "[1, 2]",
+        "types.json": '{"kind": "spsd", "dims": "ab", "spectrum": 1, "seed": "x"}',
+        "nested.json": "[" * 100_000,
+        "huge.json": json.dumps({**specs["spsd"], "dims": [20000, 20000]}),
+    }
+    for name, text in files.items():
+        (d / "bad" / name).write_text(text)
+    (d / "bad" / "binary.mtx").write_bytes(bytes(range(256)))
+    (d / "bad" / "latin1.json").write_bytes(b"\xff\xfe{")
+    return d
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand, maybe its required flags, then more flags, most of them its own.
+
+    A value is good three times in four, else drawn from the flag's pool of good
+    and bad values; a flag may also lose its value.
+    """
+    command = draw(st.sampled_from([*FUZZ_BASES] * 4 + ["bogus"]))
+    argv = [command]
+
+    def add(flag, good=None):
+        argv.append(flag)
+        if flag not in FUZZ_VALUES or not draw(st.sampled_from([True] * 9 + [False])):
+            return
+        bad = good is None or draw(st.sampled_from([False] * 3 + [True]))
+        argv.append(draw(st.sampled_from(FUZZ_VALUES[flag])) if bad else good)
+
+    if command in FUZZ_BASES and draw(st.sampled_from([True] * 3 + [False])):
+        base = FUZZ_BASES[command]
+        for flag, value in zip(base[::2], base[1::2]):
+            add(flag, value)
+    own = [*FUZZ_BASES.get(command, [])[::2], *FUZZ_OPTIONAL.get(command, [])]
+    for _ in range(draw(st.integers(0, 4))):
+        add(draw(st.sampled_from(own * 4 + [*FUZZ_VALUES, "--help", "--bogus", "extra"])))
+    return argv
+
+
+class TestArgvFuzz:
+    """Whatever the argv, run_command returns 0, 1 or 2 and raises nothing.
+
+    All examples run in one process, so they also exercise the shared parser.
+    """
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=argvs(), seed_env=st.sampled_from([None, "9", "abc"]))
+    def test_exit_code_is_0_1_or_2(self, fuzz_dir, argv, seed_env):
+        argv = [arg.replace("{d}", str(fuzz_dir)) for arg in argv]
+        saved = os.environ.pop(SEED_ENV, None)
+        if seed_env is not None:
+            os.environ[SEED_ENV] = seed_env
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run_command(argv)
+        finally:
+            os.environ.pop(SEED_ENV, None)
+            if saved is not None:
+                os.environ[SEED_ENV] = saved
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert "error: " in err.getvalue(), argv
+        assert not list(fuzz_dir.rglob(".tmp-*")), argv

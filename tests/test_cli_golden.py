@@ -80,3 +80,10 @@ def test_cli_output_matches_golden(case, inputs, monkeypatch):
         assert got["csv"] is None
     else:
         _assert_same_csv(got["csv"], case["csv"], "csv")
+
+
+def test_cases_replayed_in_reverse_order_in_one_process(inputs, monkeypatch):
+    """Every case again, last first, so state one call left in the shared parser would show."""
+    for case in reversed(GOLDEN):
+        with monkeypatch.context() as patch:
+            test_cli_output_matches_golden(case, inputs, patch)
