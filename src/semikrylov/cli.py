@@ -27,7 +27,7 @@ import numpy as np
 from .bounds import cg_bound_verify, cgls_bound_verify, cgne_bound_verify
 from .decomposition import decomposed_cg_run, equivalence_check, null_direction_confinement
 from .genmat import ProblemSpec, make_problem
-from .linalg import DEFAULT_RANK_TOL, ConvergenceError, svd, symmetric_eig
+from .linalg import DEFAULT_RANK_TOL, ConvergenceError, _check_tolerance, svd, symmetric_eig
 from .mmio import load_matrix_market, write_matrix_market
 from .oracle import consistency_check, pinv_apply_rect, pseudoinverse_apply
 from .report import RunReport, trace_csv_text, write_text_atomic
@@ -205,6 +205,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    _check_tolerance("--tol", args.tol)
     a = _load_matrix(args.matrix)
     b = _load_vector(args.rhs)
     x0 = _x0_from_flag(args.x0, a.shape[0])

@@ -46,6 +46,12 @@ def as_vector(v) -> np.ndarray:
     return w
 
 
+def _check_tolerance(name: str, value: float) -> None:
+    """Raise ValueError unless 0 < value < inf; NaN fails both comparisons."""
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def check_symmetric(a: np.ndarray) -> None:
     """Raise ValueError if the (square) matrix is not symmetric within tolerance."""
     scale = max(float(np.max(np.abs(a))), 1.0)
@@ -168,7 +174,7 @@ def symmetric_eig(a, rank_tol: float = DEFAULT_RANK_TOL) -> SpectralDecompositio
     ------
     ValueError
         If the matrix is not square, not symmetric within 1e-12 relative
-        in the max-norm, or rank_tol is not positive.
+        in the max-norm, or rank_tol is not finite and positive.
     ConvergenceError
         If LAPACK reports that the eigensolver did not converge.
     """
@@ -176,8 +182,7 @@ def symmetric_eig(a, rank_tol: float = DEFAULT_RANK_TOL) -> SpectralDecompositio
     n = a.shape[0]
     if a.shape[1] != n:
         raise ValueError(f"matrix must be square, got {a.shape[0]}x{a.shape[1]}")
-    if rank_tol <= 0.0:
-        raise ValueError("rank_tol must be positive")
+    _check_tolerance("rank_tol", rank_tol)
     check_symmetric(a)
 
     try:
@@ -199,13 +204,12 @@ def svd(a, rank_tol: float = DEFAULT_RANK_TOL) -> SingularDecomposition:
     Raises
     ------
     ValueError
-        If rank_tol is not positive.
+        If rank_tol is not finite and positive.
     ConvergenceError
         If LAPACK reports that the SVD did not converge.
     """
     a = as_matrix(a)
-    if rank_tol <= 0.0:
-        raise ValueError("rank_tol must be positive")
+    _check_tolerance("rank_tol", rank_tol)
     try:
         u, sigmas, vh = np.linalg.svd(a, full_matrices=True)
     except np.linalg.LinAlgError as exc:

@@ -4,10 +4,10 @@ Reads the ``array`` and ``coordinate`` formats with ``real`` entries and
 ``general`` or ``symmetric`` storage; symmetric storage is expanded to a
 full dense matrix. A coordinate entry given twice is rejected, not summed
 or overwritten. A size line may declare at most MAX_CELLS = 10**8 cells.
-A well-formed body is parsed in bulk, any other entry by entry, so parse
-failures still raise MatrixMarketError with the first bad 1-based line.
-Writing always emits ``array real general`` with 17 significant digits,
-which round-trips float64 exactly.
+A well-formed body is parsed piece by piece into the result arrays, so a read
+needs the text plus a few copies of the matrix; any other body is parsed
+entry by entry, so failures name the first bad 1-based line. Writing emits
+``array real general`` with 17 significant digits, formatted in blocks.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ MAX_CELLS = 10**8
 # one line and its end, at the line boundaries of str.splitlines; the last match is empty
 _EOL = "\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
 _LINE = re.compile(f"[^{_EOL}]*(?:\r\n|[{_EOL}]|\\Z)")
+_SLICE = 1 << 16  # body characters parsed at a time, give or take one line
+_BLOCK = 1 << 12  # values the writer formats at a time
 
 
 def _parse_positive_int(token: str, line_no: int, what: str) -> int:
@@ -68,18 +70,41 @@ def _entries(body: str, after: int) -> list:
     return [(no, ln) for no, ln in numbered if ln and not ln.startswith("%")]
 
 
-def _bulk_coordinate(body: list, tokens: list, rows: int, cols: int, nnz: int, symmetry: str):
-    """Cells and values of a body of nnz valid 'row col value' lines, else None."""
-    if len(body) != nnz or set(map(len, map(str.split, body))) != {3}:
+def _bulk(text: str, start: int, fmt: str, count: int, rows: int, cols: int, symmetry: str):
+    """Flat cells (coordinate only) and values of a valid body text[start:], else None.
+
+    Accepts only what the per-entry parse accepts, converting tokens with Python's
+    int and float via numpy. Slices end just after a "\\n", so none cuts a line.
+    """
+    width = 3 if fmt == "coordinate" else 1
+    # allocate only if the body can hold count entries of 2 * width - 1 characters and a break
+    if len(text) - start < 2 * width * count - 1:
         return None
-    try:
-        i, j = (np.array(list(map(int, tokens[k::3])), dtype=np.int64) for k in (0, 1))
-        values = np.array(list(map(float, tokens[2::3])))
-    except (ValueError, OverflowError):
-        return None
-    valid = (i >= 1) & (i <= rows) & (j >= 1) & (j <= cols) & np.isfinite(values)
-    valid &= (symmetry == "general") | (i >= j)
-    return ((i - 1) * cols + (j - 1), values) if valid.all() else None
+    cells, values = np.empty(count if width == 3 else 0, dtype=np.int64), np.empty(count)
+    k = 0
+    while start < len(text):
+        end = text.find("\n", start + _SLICE - 1) + 1 or len(text)
+        piece, start = text[start:end], end
+        if "%" in piece:
+            piece = "\n".join(ln for ln in piece.splitlines() if not ln.lstrip().startswith("%"))
+        tokens = piece.split()
+        m = len(tokens) // width
+        # a coordinate entry is a line of its own; blank lines hold none
+        if k + m > count or width == 3 and set(map(len, map(str.split, piece.splitlines()))) - {0, 3}:
+            return None
+        try:
+            values[k : k + m] = np.array(tokens[width - 1 :: width], dtype=np.float64)
+            if width == 3:
+                i, j = (np.array(tokens[c::3], dtype=np.int64) for c in (0, 1))
+        except (ValueError, OverflowError):
+            return None
+        if width == 3:
+            valid = (i >= 1) & (i <= rows) & (j >= 1) & (j <= cols)
+            if not (valid & ((symmetry == "general") | (i >= j))).all():
+                return None
+            cells[k : k + m] = (i - 1) * cols + (j - 1)
+        k += m
+    return (cells, values) if k == count and np.isfinite(values).all() else None
 
 
 def read_matrix_market(text) -> np.ndarray:
@@ -122,56 +147,35 @@ def read_matrix_market(text) -> np.ndarray:
     cols = _parse_positive_int(toks[1], size_no, "column count")
     if fmt == "coordinate":
         try:
-            nnz = int(toks[2])
+            count = int(toks[2])
         except ValueError:
             raise MatrixMarketError(f"line {size_no}: entry count {toks[2]!r} is not an integer") from None
-        if nnz < 0:
-            raise MatrixMarketError(f"line {size_no}: entry count must be nonnegative, got {nnz}")
+        if count < 0:
+            raise MatrixMarketError(f"line {size_no}: entry count must be nonnegative, got {count}")
     if symmetry == "symmetric" and rows != cols:
         raise MatrixMarketError(f"line {size_no}: symmetric storage requires a square matrix")
     if rows * cols > MAX_CELLS:
         raise MatrixMarketError(f"line {size_no}: {rows} x {cols} is over the {MAX_CELLS}-cell limit")
 
-    # The bulk parse accepts only what the per-entry parse accepts and raises
-    # nothing; whatever it rejects, the per-entry parse names the first bad line.
-    # Every splitlines boundary is whitespace to str.split, so the body's lines
-    # are listed only to drop comments, to check coordinate rows, or on failure.
-    rest = text[size.end():]
-    body = None
-    if "%" in rest:
-        body = [ln for ln in rest.splitlines() if not ln.lstrip().startswith("%")]
-    tokens = rest.split() if body is None else " ".join(body).split()
     if fmt == "array":
-        # Check the count before building anything the header's size implies.
-        expected = rows * cols if symmetry == "general" else rows * (rows + 1) // 2
-        try:
-            parsed = np.array(list(map(float, tokens))) if len(tokens) == expected else None
-        except ValueError:
-            parsed = None
-        if parsed is None or not np.isfinite(parsed).all():
-            entries = _entries(rest, size_no)
-            values = [(no, tok) for no, ln in entries for tok in ln.split()]
-            if len(values) != expected:
-                last = entries[-1][0] if entries else size_no
-                raise MatrixMarketError(
-                    f"line {last}: expected {expected} entries, found {len(values)}"
-                )
-            parsed = [_parse_real(tok, no) for no, tok in values]
-        # flat cells in column-major order; symmetric storage lists the lower triangle
-        if symmetry == "general":
-            cells = np.arange(rows * cols).reshape(rows, cols).ravel(order="F")
-        else:
-            j, i = np.triu_indices(rows)
-            cells = i * cols + j
-        return _fill(np.zeros((rows, cols)), cells, parsed, symmetry)
-
-    parsed = _bulk_coordinate(rest.splitlines() if body is None else body, tokens, rows, cols,
-                              nnz, symmetry)
+        count = rows * cols if symmetry == "general" else rows * (rows + 1) // 2
+    parsed = _bulk(text, size.end(), fmt, count, rows, cols, symmetry)
     if parsed is None:
-        entries = _entries(rest, size_no)
-        if len(entries) != nnz:
+        entries = _entries(text[size.end():], size_no)
+        # an array entry is a token, a coordinate entry a line
+        found = [(no, tok) for no, ln in entries for tok in ln.split()] if fmt == "array" else entries
+        if len(found) != count:
             last = entries[-1][0] if entries else size_no
-            raise MatrixMarketError(f"line {last}: expected {nnz} entries, found {len(entries)}")
+            raise MatrixMarketError(f"line {last}: expected {count} entries, found {len(found)}")
+    if fmt == "array":
+        values = parsed[1] if parsed is not None else np.array([_parse_real(tok, no) for no, tok in found])
+        # column-major order; symmetric storage lists the lower triangle
+        if symmetry == "general":
+            return values.reshape(cols, rows).T.copy()
+        j, i = np.triu_indices(rows)
+        return _fill(np.zeros((rows, cols)), i * cols + j, values, symmetry)
+
+    if parsed is None:
         cells, values = [], []
         for no, ln in entries:
             toks = ln.split()
@@ -198,7 +202,7 @@ def read_matrix_market(text) -> np.ndarray:
     if repeats.size:
         k = repeats.min()
         i, j = divmod(int(cells[k]), cols)
-        entries = _entries(rest, size_no)
+        entries = _entries(text[size.end():], size_no)
         raise MatrixMarketError(
             f"line {entries[k][0]}: duplicate entry ({i + 1}, {j + 1}), "
             f"first given on line {entries[np.argmax(cells == cells[k])][0]}"
@@ -210,8 +214,10 @@ def write_matrix_market(a) -> str:
     """Serialize a dense matrix as 'array real general' Matrix Market text."""
     a = as_matrix(a)
     rows, cols = a.shape
-    body = ("%.17g\n" * a.size) % tuple(a.T.ravel().tolist())
-    return f"%%MatrixMarket matrix array real general\n{rows} {cols}\n" + body
+    values = a.T.ravel()
+    blocks = (values[k : k + _BLOCK].tolist() for k in range(0, values.size, _BLOCK))
+    body = (("%.17g\n" * len(block)) % tuple(block) for block in blocks)
+    return "".join([f"%%MatrixMarket matrix array real general\n{rows} {cols}\n", *body])
 
 
 def load_matrix_market(path) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -22,6 +23,7 @@ _TRACE_FIELDS = {
     "bound_value": "bound",
 }
 TRACE_COLUMNS = ["iter", *_TRACE_FIELDS]
+_WRITE_SLICE = 1 << 20  # characters written at a time
 
 
 @dataclass(frozen=True)
@@ -91,14 +93,18 @@ def trace_csv_text(report: RunReport) -> str:
 def write_text_atomic(path, text: str) -> None:
     """Write text via a temp file and rename, so readers never see partial output."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            # in slices, so the encoder never copies the whole text at once
+            handle.writelines(text[k : k + _WRITE_SLICE] for k in range(0, len(text), _WRITE_SLICE))
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
+            # name the target, not the temp file, whose name differs from run to run
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         raise

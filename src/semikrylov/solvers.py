@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, check_symmetric
+from .linalg import _check_tolerance, as_matrix, as_vector, check_symmetric
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
@@ -51,10 +51,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.rel_tol <= 0.0:
-            raise ValueError("rel_tol must be positive")
-        if self.breakdown_tol <= 0.0:
-            raise ValueError("breakdown_tol must be positive")
+        _check_tolerance("rel_tol", self.rel_tol)
+        _check_tolerance("breakdown_tol", self.breakdown_tol)
 
     def iteration_cap(self, n: int) -> int:
         return self.max_iters if self.max_iters is not None else 10 * n

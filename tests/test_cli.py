@@ -149,6 +149,27 @@ class TestSolveCommand:
         assert code == 2
 
 
+# a tolerance must satisfy 0 < tol < inf; NaN and inf used to run, and --tol 0 or -1 to fail a check
+BAD_TOLERANCES = [
+    (command, flag, value)
+    for command, flags in (("solve", ["--rel-tol", "--rank-tol"]), ("diagnose", ["--tol", "--rank-tol"]))
+    for flag in flags
+    for value in ("nan", "inf", "0", "-1")
+]
+
+
+@pytest.mark.parametrize("command, flag, value", BAD_TOLERANCES)
+def test_tolerance_must_be_finite_and_positive(spsd_problem, capsys, command, flag, value):
+    tmp_path, _, _ = spsd_problem
+    argv = [command, "--matrix", str(tmp_path / "a.mtx"), "--rhs", str(tmp_path / "b.mtx"),
+            flag, value, "--out", str(tmp_path / "report.json")]
+    argv += ["--method", "cg"] if command == "solve" else ["--iters", "4"]
+    assert run_command(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"must be finite and positive, got {float(value)}" in err
+    assert not (tmp_path / "report.json").exists()
+
+
 class TestDiagnoseCommand:
     def test_consistent_system(self, spsd_problem):
         tmp_path, _, _ = spsd_problem
@@ -349,6 +370,29 @@ class TestRunReportSerialization:
         write_text_atomic(target, "second")
         assert target.read_text() == "second"
         assert list(tmp_path.iterdir()) == [target]
+
+    @pytest.mark.parametrize("size", [1, 7, 1 << 20])
+    def test_atomic_write_in_slices_keeps_the_text(self, tmp_path, monkeypatch, size):
+        monkeypatch.setattr("semikrylov.report._WRITE_SLICE", size)
+        text = "".join(f"{k}\n" for k in range(3000))
+        write_text_atomic(tmp_path / "t.txt", text)
+        assert (tmp_path / "t.txt").read_text() == text
+
+    @pytest.mark.parametrize("target", ["out", "missing/report.json"])
+    def test_failed_write_names_only_the_target(self, spsd_problem, capsys, target):
+        tmp_path, _, _ = spsd_problem
+        (tmp_path / "out").mkdir()
+        argv = ["solve", "--method", "cg", "--matrix", str(tmp_path / "a.mtx"),
+                "--rhs", str(tmp_path / "b.mtx"), "--out", str(tmp_path / target)]
+        errors = []
+        for _ in range(2):
+            assert run_command(argv) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: [Errno ") and errors[0].endswith(f"'{tmp_path / target}'\n")
+        assert ".tmp-" not in errors[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.mtx", "b.mtx", "out"]
+        assert not list((tmp_path / "out").iterdir())
 
 
 # Inputs for the argv fuzz test; "{d}" is its directory. Every output path lies under it,

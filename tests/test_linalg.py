@@ -102,6 +102,12 @@ class TestSymmetricEig:
         with pytest.raises(ValueError):
             symmetric_eig(np.eye(2), rank_tol=0.0)
 
+    @pytest.mark.parametrize("decompose", [symmetric_eig, svd])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rank_tol_must_be_finite_and_positive(self, decompose, value):
+        with pytest.raises(ValueError, match=f"rank_tol must be finite and positive, got {value}"):
+            decompose(np.eye(2), rank_tol=value)
+
     def test_reconstruction_and_orthogonality(self):
         rng = np.random.default_rng(11)
         for _ in range(10):

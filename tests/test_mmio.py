@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -419,6 +420,63 @@ class TestBulkReader:
         monkeypatch.setattr(mmio, "_parse_real", per_entry)
         np.testing.assert_array_equal(read_matrix_market(text), expected)
 
+    @given(st.one_of(
+        matrix_market_texts(),
+        matrix_market_texts().map(lambda t: t.encode("latin-1", errors="replace")),
+        st.lists(st.sampled_from(
+            ["%%MatrixMarket matrix array real general", "%%MatrixMarket matrix coordinate real symmetric",
+             "1", "2", "_", "nan", "%", " ", "\xa0"] + SEPARATORS + LINE_ENDS
+        ), max_size=12).map("".join),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_same_result_when_the_body_is_parsed_in_small_slices(self, text):
+        # slices of a line or a few, so cuts fall next to "\r\n" pairs, comments and every entry
+        expected = _outcome(reference_read_matrix_market, text)
+        for size in (1, 3, 7):
+            with mock.patch.object(mmio, "_SLICE", size):
+                outcome = _outcome(read_matrix_market, text)
+            if not (outcome[0] == "error" and outcome[1].endswith(f"{MAX_CELLS}-cell limit")):
+                assert outcome == expected, size
+
+    @pytest.mark.parametrize("size", [1, 3, 7, 1 << 16])
+    def test_sliced_well_formed_bodies_skip_the_per_entry_parse(self, size, monkeypatch):
+        def per_entry(token, line_no):
+            raise AssertionError(f"line {line_no} parsed per entry")
+
+        texts = [
+            "%%MatrixMarket matrix array real general\r\n3 2\r\n1\r\n% mid\r\n2 3\r\n4\r\n5\r\n6\r\n",
+            "%%MatrixMarket matrix coordinate real general\r\n3 3 3\r\n1 3 1_0\r\n% mid\r\n"
+            "2 1 +5\r\n3 3 -2\r\n",
+            "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 2\n%\n2 1 -1",
+            "%%MatrixMarket matrix coordinate real general\n2 2 2\n\n1 2 3\n \t\n2 1 4\n\n",
+        ]
+        expected = [reference_read_matrix_market(text) for text in texts]
+        monkeypatch.setattr(mmio, "_parse_real", per_entry)
+        monkeypatch.setattr(mmio, "_SLICE", size)
+        for text, want in zip(texts, expected):
+            np.testing.assert_array_equal(read_matrix_market(text), want)
+
+    @pytest.mark.parametrize("fmt", ["array", "coordinate"])
+    def test_read_peaks_at_a_few_copies_of_the_matrix(self, fmt):
+        n = 300
+        a = np.random.default_rng(5).normal(size=(n, n))
+        a = a + a.T
+        if fmt == "array":
+            text = write_matrix_market(a)
+        else:
+            rows, cols = np.tril_indices(n)
+            entries = zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist())
+            text = (f"%%MatrixMarket matrix coordinate real symmetric\n{n} {n} {rows.size}\n"
+                    + "".join(f"{i + 1} {j + 1} {value!r}\n" for i, j, value in entries))
+        tracemalloc.start()
+        try:
+            got = read_matrix_market(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == a.tobytes()
+        assert peak < 5 * a.nbytes + 1_000_000
+
     @pytest.mark.parametrize("fmt, size", [("coordinate", "100000 100000 1"), ("array", "100000 100000")])
     def test_size_over_the_cell_ceiling_rejected_before_allocating(self, fmt, size):
         text = f"%%MatrixMarket matrix {fmt} real general\n{size}\n1 1 1.0\n"
@@ -457,3 +515,10 @@ def test_writer_is_byte_identical_to_per_value_formatting(shape):
     a.T.flat[: len(specials)] = specials
     assert write_matrix_market(a) == _per_value_text(a)
     assert read_matrix_market(write_matrix_market(a)).tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(mmio._BLOCK - 1, 1), (mmio._BLOCK, 1), (1, mmio._BLOCK + 1)])
+def test_writer_blocks_join_to_the_per_value_text(shape):
+    rng = np.random.default_rng(list(shape))
+    a = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    assert write_matrix_market(a) == _per_value_text(a)

@@ -260,6 +260,12 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(breakdown_tol=-1.0)
 
+    @pytest.mark.parametrize("field", ["rel_tol", "breakdown_tol"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+    def test_rejects_tolerances_that_are_not_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive, got {value}"):
+            SolverConfig(**{field: value})
+
     def test_default_cap_scales_with_unknowns(self):
         assert SolverConfig().iteration_cap(7) == 70
         assert SolverConfig(max_iters=3).iteration_cap(7) == 3
