@@ -122,9 +122,8 @@ def _spectral_pipeline(method, a, rank_tol):
     summary = {}
     if sdec.rank > 0:
         sig = sdec.sigmas_r
-        summary = {"sigma_1": float(sig[0]), "sigma_r": float(sig[-1])}
-        if sig[-1] > 0:
-            summary["sigma_ratio"] = float(sig[0] / sig[-1])
+        summary = {"sigma_1": float(sig[0]), "sigma_r": float(sig[-1]),
+                   "sigma_ratio": float(sig[0] / sig[-1])}
     return sdec, summary, sdec.u1, sdec.u2
 
 
@@ -175,20 +174,18 @@ def _cmd_solve(args) -> int:
     start = _x0_from_flag(args.x0, m if args.method == "cgne" else n)
 
     spectral = _spectral_pipeline(args.method, a, args.rank_tol)
-    dec = spectral[0]
+    dec, basis2 = spectral[0], spectral[3]
     trace = _run_method(args.method, a, b, start, cfg)
 
     if args.method == "cg":
         xdag = pseudoinverse_apply(dec, b)
         expected = xdag + dec.q2 @ (dec.q2.T @ start)
-        cons_null = consistency_check(dec, b).null_norm
     else:
         xdag = pinv_apply_rect(dec, b)
         if args.method == "cgls":
             expected = xdag + (start - dec.v1 @ (dec.v1.T @ start))
         else:
             expected = xdag
-        cons_null = float(np.linalg.norm(dec.u2.T @ b))
 
     dist_expected = _relative_distance(trace.x, expected)
     checks = {
@@ -198,7 +195,7 @@ def _cmd_solve(args) -> int:
     distances = {
         "min_norm": _relative_distance(trace.x, xdag),
         "expected": dist_expected,
-        "rhs_null_norm": cons_null,
+        "rhs_null_norm": float(np.linalg.norm(basis2.T @ b)),
     }
     return _finish(args, "solve", args.method, (m, n), spectral, trace, checks,
                    final_distances=distances)

@@ -157,8 +157,6 @@ class SingularDecomposition:
 
 
 def _numerical_rank(values: np.ndarray, rank_tol: float) -> int:
-    if values.size == 0:
-        return 0
     cut = rank_tol * max(float(values[0]), 1.0)
     return int(np.sum(values > cut))
 

@@ -4,10 +4,12 @@ Reads the ``array`` and ``coordinate`` formats with ``real`` entries and
 ``general`` or ``symmetric`` storage; symmetric storage is expanded to a
 full dense matrix. A coordinate entry given twice is rejected, not summed
 or overwritten. A size line may declare at most MAX_CELLS = 10**8 cells.
-A well-formed body is parsed piece by piece into the result arrays, so a read
-needs the text plus a few copies of the matrix; any other body is parsed
-entry by entry, so failures name the first bad 1-based line. Writing emits
-``array real general`` with 17 significant digits, formatted in blocks.
+Only ``_bulk`` turns a body into values, piece by piece straight into the
+result arrays, so a read needs the text plus a few copies of the matrix. A
+body it rejects is walked line by line once more, only to name the error and
+its 1-based line; that walk keeps no values, so a malformed file costs no more
+memory than a well-formed one. Writing emits ``array real general`` with 17
+significant digits, formatted in blocks; files go through ``write_text_atomic``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import re
 import numpy as np
 
 from .linalg import as_matrix
+from .report import write_text_atomic
 
 
 class MatrixMarketError(ValueError):
@@ -33,17 +36,18 @@ _SLICE = 1 << 16  # body characters parsed at a time, give or take one line
 _BLOCK = 1 << 12  # values the writer formats at a time
 
 
-def _parse_positive_int(token: str, line_no: int, what: str) -> int:
+def _parse_int(token: str, line_no: int, what: str, least: int = 1) -> int:
     try:
         value = int(token)
     except ValueError:
         raise MatrixMarketError(f"line {line_no}: {what} {token!r} is not an integer") from None
-    if value < 1:
-        raise MatrixMarketError(f"line {line_no}: {what} must be positive, got {value}")
+    if value < least:
+        bound = "positive" if least else "nonnegative"
+        raise MatrixMarketError(f"line {line_no}: {what} must be {bound}, got {value}")
     return value
 
 
-def _parse_real(token: str, line_no: int) -> float:
+def _parse_real(token: str, line_no: int) -> None:
     try:
         value = float(token)
     except ValueError:
@@ -52,10 +56,9 @@ def _parse_real(token: str, line_no: int) -> float:
         ) from None
     if not math.isfinite(value):
         raise MatrixMarketError(f"line {line_no}: entry {token!r} is not finite")
-    return value
 
 
-def _fill(mat: np.ndarray, cells: np.ndarray, values: list, symmetry: str) -> np.ndarray:
+def _fill(mat: np.ndarray, cells: np.ndarray, values: np.ndarray, symmetry: str) -> np.ndarray:
     """Set the flat cells of mat to values, mirrored across the diagonal for symmetric storage."""
     mat.flat[cells] = values
     if symmetry == "symmetric":
@@ -64,17 +67,55 @@ def _fill(mat: np.ndarray, cells: np.ndarray, values: list, symmetry: str) -> np
     return mat
 
 
-def _entries(body: str, after: int) -> list:
-    """(line number, stripped line) of each nonblank, non-comment line of body, from after + 1."""
-    numbered = ((no, ln.strip()) for no, ln in enumerate(body.splitlines(), start=after + 1))
-    return [(no, ln) for no, ln in numbered if ln and not ln.startswith("%")]
+def _content(text: str, start: int, no: int):
+    """(line number, match) of each nonblank, non-comment line of text[start:], from line no."""
+    for no, line in enumerate(_LINE.finditer(text, start), start=no):
+        stripped = line[0].strip()
+        if stripped and not stripped.startswith("%"):
+            yield no, line
+    return no - 1  # the number of the last line; the last match is the empty one at the end
+
+
+def _check_entry(toks: list, no: int, fmt: str, rows: int, cols: int, symmetry: str) -> None:
+    """Raise the error of the first bad entry among the tokens of line no."""
+    if fmt == "array":
+        for tok in toks:
+            _parse_real(tok, no)
+        return
+    if len(toks) != 3:
+        raise MatrixMarketError(f"line {no}: coordinate entry must be 'row col value'")
+    i, j = _parse_int(toks[0], no, "row index"), _parse_int(toks[1], no, "column index")
+    for what, index, size in (("row", i, rows), ("column", j, cols)):
+        if index > size:
+            raise MatrixMarketError(f"line {no}: {what} index {index} out of range 1..{size}")
+    _parse_real(toks[2], no)
+    if symmetry == "symmetric" and i < j:
+        raise MatrixMarketError(f"line {no}: symmetric entries must satisfy row >= col, got ({i}, {j})")
+
+
+def _body_error(lines, size_no: int, fmt: str, count: int, rows: int, cols: int, symmetry: str):
+    """The error of a body _bulk rejected: a wrong entry count, else its first bad entry."""
+    found, last, error = 0, size_no, None
+    for no, line in lines:
+        toks = line[0].split()
+        # an array entry is a token, a coordinate entry a line
+        found, last = found + (len(toks) if fmt == "array" else 1), no
+        if error is None:
+            try:
+                _check_entry(toks, no, fmt, rows, cols, symmetry)
+            except MatrixMarketError as exc:
+                error = exc
+    if found != count:
+        return MatrixMarketError(f"line {last}: expected {count} entries, found {found}")
+    return error or MatrixMarketError(f"line {last}: {fmt} body does not parse")
 
 
 def _bulk(text: str, start: int, fmt: str, count: int, rows: int, cols: int, symmetry: str):
     """Flat cells (coordinate only) and values of a valid body text[start:], else None.
 
-    Accepts only what the per-entry parse accepts, converting tokens with Python's
-    int and float via numpy. Slices end just after a "\\n", so none cuts a line.
+    This defines what a body may hold: the per-entry checks run only on a body
+    it rejects, to name the error. Tokens are converted with Python's int and
+    float via numpy. Slices end just after a "\\n", so none cuts a line.
     """
     width = 3 if fmt == "coordinate" else 1
     # allocate only if the body can hold count entries of 2 * width - 1 characters and a break
@@ -114,44 +155,34 @@ def read_matrix_market(text) -> np.ndarray:
     if not text:
         raise MatrixMarketError("line 1: empty input, expected a Matrix Market header")
 
-    lines = _LINE.finditer(text)
-    header = next(lines)[0].split()
+    head = _LINE.match(text)
+    header = head[0].split()
     if len(header) != 5 or header[0].lower() != _BANNER:
         raise MatrixMarketError(
             "line 1: expected header '%%MatrixMarket matrix <format> <field> <symmetry>'"
         )
     obj, fmt, field, symmetry = (tok.lower() for tok in header[1:])
-    if obj != "matrix":
-        raise MatrixMarketError(f"line 1: unsupported object '{obj}' (only 'matrix' is supported)")
-    if fmt not in ("array", "coordinate"):
-        raise MatrixMarketError(
-            f"line 1: unsupported format '{fmt}' (expected 'array' or 'coordinate')"
-        )
-    if field != "real":
-        raise MatrixMarketError(f"line 1: unsupported field '{field}' (only 'real' is supported)")
-    if symmetry not in ("general", "symmetric"):
-        raise MatrixMarketError(
-            f"line 1: unsupported symmetry '{symmetry}' (expected 'general' or 'symmetric')"
-        )
+    for what, value, *known in [("object", obj, "matrix"), ("format", fmt, "array", "coordinate"),
+                                ("field", field, "real"), ("symmetry", symmetry, "general", "symmetric")]:
+        if value not in known:
+            hint = (f"only '{known[0]}' is supported" if len(known) == 1
+                    else f"expected '{known[0]}' or '{known[1]}'")
+            raise MatrixMarketError(f"line 1: unsupported {what} '{value}' ({hint})")
 
-    size_no, size = next(((no, m) for no, m in enumerate(lines, start=2)
-                          if m[0].strip() and not m[0].lstrip().startswith("%")), (None, None))
-    if size is None:
-        raise MatrixMarketError(f"line {len(text.splitlines())}: missing size line")
+    lines = _content(text, head.end(), 2)
+    try:
+        size_no, size = next(lines)
+    except StopIteration as end:
+        raise MatrixMarketError(f"line {end.value}: missing size line") from None
 
     toks = size[0].split()
     if len(toks) != (2 if fmt == "array" else 3):
         shape = "rows cols" if fmt == "array" else "rows cols nnz"
         raise MatrixMarketError(f"line {size_no}: {fmt} size line must be '{shape}'")
-    rows = _parse_positive_int(toks[0], size_no, "row count")
-    cols = _parse_positive_int(toks[1], size_no, "column count")
+    rows = _parse_int(toks[0], size_no, "row count")
+    cols = _parse_int(toks[1], size_no, "column count")
     if fmt == "coordinate":
-        try:
-            count = int(toks[2])
-        except ValueError:
-            raise MatrixMarketError(f"line {size_no}: entry count {toks[2]!r} is not an integer") from None
-        if count < 0:
-            raise MatrixMarketError(f"line {size_no}: entry count must be nonnegative, got {count}")
+        count = _parse_int(toks[2], size_no, "entry count", least=0)
     if symmetry == "symmetric" and rows != cols:
         raise MatrixMarketError(f"line {size_no}: symmetric storage requires a square matrix")
     if rows * cols > MAX_CELLS:
@@ -161,51 +192,26 @@ def read_matrix_market(text) -> np.ndarray:
         count = rows * cols if symmetry == "general" else rows * (rows + 1) // 2
     parsed = _bulk(text, size.end(), fmt, count, rows, cols, symmetry)
     if parsed is None:
-        entries = _entries(text[size.end():], size_no)
-        # an array entry is a token, a coordinate entry a line
-        found = [(no, tok) for no, ln in entries for tok in ln.split()] if fmt == "array" else entries
-        if len(found) != count:
-            last = entries[-1][0] if entries else size_no
-            raise MatrixMarketError(f"line {last}: expected {count} entries, found {len(found)}")
+        raise _body_error(lines, size_no, fmt, count, rows, cols, symmetry)
+    cells, values = parsed
     if fmt == "array":
-        values = parsed[1] if parsed is not None else np.array([_parse_real(tok, no) for no, tok in found])
         # column-major order; symmetric storage lists the lower triangle
         if symmetry == "general":
             return values.reshape(cols, rows).T.copy()
         j, i = np.triu_indices(rows)
         return _fill(np.zeros((rows, cols)), i * cols + j, values, symmetry)
 
-    if parsed is None:
-        cells, values = [], []
-        for no, ln in entries:
-            toks = ln.split()
-            if len(toks) != 3:
-                raise MatrixMarketError(f"line {no}: coordinate entry must be 'row col value'")
-            i = _parse_positive_int(toks[0], no, "row index")
-            j = _parse_positive_int(toks[1], no, "column index")
-            if i > rows:
-                raise MatrixMarketError(f"line {no}: row index {i} out of range 1..{rows}")
-            if j > cols:
-                raise MatrixMarketError(f"line {no}: column index {j} out of range 1..{cols}")
-            values.append(_parse_real(toks[2], no))
-            if symmetry == "symmetric" and i < j:
-                raise MatrixMarketError(
-                    f"line {no}: symmetric entries must satisfy row >= col, got ({i}, {j})"
-                )
-            cells.append((i - 1) * cols + (j - 1))
-        parsed = np.array(cells, dtype=np.int64), values
-    cells, values = parsed
-
     # one stable sort finds repeated cells; k is the earliest entry that repeats one
     order = np.argsort(cells, kind="stable")
     repeats = order[1:][np.diff(cells[order]) == 0]
     if repeats.size:
         k = repeats.min()
+        first = np.argmax(cells == cells[k])
         i, j = divmod(int(cells[k]), cols)
-        entries = _entries(text[size.end():], size_no)
+        # lines still stands just after the size line, so its k-th line holds entry k
+        nos = [no for e, (no, _) in zip(range(k + 1), lines) if e in (first, k)]
         raise MatrixMarketError(
-            f"line {entries[k][0]}: duplicate entry ({i + 1}, {j + 1}), "
-            f"first given on line {entries[np.argmax(cells == cells[k])][0]}"
+            f"line {nos[1]}: duplicate entry ({i + 1}, {j + 1}), first given on line {nos[0]}"
         )
     return _fill(np.zeros((rows, cols)), cells, values, symmetry)
 
@@ -231,6 +237,5 @@ def load_matrix_market(path) -> np.ndarray:
 
 
 def save_matrix_market(path, a) -> None:
-    """Write a dense matrix to disk in Matrix Market format."""
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write(write_matrix_market(a))
+    """Write a dense matrix to disk in Matrix Market format, atomically."""
+    write_text_atomic(path, write_matrix_market(a))

@@ -7,7 +7,6 @@ import csv
 import io
 import json
 import os
-import tempfile
 from dataclasses import asdict, dataclass
 from itertools import islice, zip_longest
 
@@ -92,16 +91,16 @@ def trace_csv_text(report: RunReport) -> str:
 
 def write_text_atomic(path, text: str) -> None:
     """Write text via a temp file and rename, so readers never see partial output."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    tmp = None
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
+    handle = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-        with os.fdopen(fd, "w") as handle:
+        # "x" creates the file with mode 0o666 & ~umask, as open() does; mkstemp would give 0600
+        with open(tmp, "x") as handle:
             # in slices, so the encoder never copies the whole text at once
             handle.writelines(text[k : k + _WRITE_SLICE] for k in range(0, len(text), _WRITE_SLICE))
         os.replace(tmp, path)
     except BaseException as exc:
-        if tmp is not None:
+        if handle is not None:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
         if isinstance(exc, OSError):
