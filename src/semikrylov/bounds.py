@@ -49,22 +49,20 @@ def _envelope(rho: float, m0: float, count: int) -> list[float]:
     return [2.0 * rho**k * m0 for k in range(count)]
 
 
-def _violations(measured: list[float], bound: list[float]) -> list[tuple[int, float, float]]:
-    m0 = measured[0]
-    out = []
-    for k, (mk, bk) in enumerate(zip(measured, bound)):
-        if mk < NOISE_CUT * m0:
-            break
-        if mk > bk * (1.0 + SLACK_REL) + SLACK_FLOOR * m0:
-            out.append((k, mk, bk))
-    return out
+def _violations(measured, bound: list[float]) -> list[tuple[int, float, float]]:
+    m, b = np.asarray(measured), np.array(bound)
+    noise = m < NOISE_CUT * m[0]
+    # collection stops at the first state at rounding level
+    end = noise.argmax() if noise.any() else m.size
+    bad = np.flatnonzero(m[:end] > b[:end] * (1.0 + SLACK_REL) + SLACK_FLOOR * m[0])
+    return [(int(k), float(m[k]), bound[k]) for k in bad]
 
 
-def _bound_report(kind: str, measured: list[float], rho: float, spectrum) -> BoundReport:
-    bound = _envelope(rho, measured[0], len(measured))
+def _bound_report(kind: str, measured: np.ndarray, rho: float, spectrum) -> BoundReport:
+    bound = _envelope(rho, float(measured[0]), len(measured))
     bad = _violations(measured, bound)
     extremes = (float(spectrum[0]), float(spectrum[-1]))
-    return BoundReport(kind, measured, bound, rho, extremes, bad, not bad)
+    return BoundReport(kind, measured.tolist(), bound, rho, extremes, bad, not bad)
 
 
 def cg_bound_verify(trace: SolveTrace, decomp: SpectralDecomposition) -> BoundReport:
@@ -95,7 +93,7 @@ def cg_bound_verify(trace: SolveTrace, decomp: SpectralDecomposition) -> BoundRe
     lam = decomp.lambdas_r
     kappa = float(lam[0] / lam[-1])
     rho = float((np.sqrt(kappa) - 1.0) / (np.sqrt(kappa) + 1.0))
-    measured = np.sqrt(np.sum((trace.residuals @ decomp.q1) ** 2 / lam, axis=1)).tolist()
+    measured = np.sqrt(np.sum((trace.residuals @ decomp.q1) ** 2 / lam, axis=1))
     return _bound_report("cg_energy", measured, rho, lam)
 
 
@@ -117,7 +115,7 @@ def cgls_bound_verify(
     sig = sdec.sigmas_r
     rho = float((sig[0] - sig[-1]) / (sig[0] + sig[-1]))
     # ||A e|| = ||Sigma_r V1^T e||, since U1 has orthonormal columns
-    measured = np.linalg.norm((trace.iterates - xstar) @ sdec.v1 * sig, axis=1).tolist()
+    measured = np.linalg.norm((trace.iterates - xstar) @ sdec.v1 * sig, axis=1)
     return _bound_report("cgls_range_residual", measured, rho, sig)
 
 
@@ -145,5 +143,5 @@ def cgne_bound_verify(trace: SolveTrace, sdec: SingularDecomposition) -> BoundRe
 
     sig = sdec.sigmas_r
     rho = float((sig[0] - sig[-1]) / (sig[0] + sig[-1]))
-    measured = np.sum((trace.residuals @ sdec.u1 / sig) ** 2, axis=1).tolist()
+    measured = np.sum((trace.residuals @ sdec.u1 / sig) ** 2, axis=1)
     return _bound_report("cgne_energy", measured, rho, sig)

@@ -98,33 +98,23 @@ def _relative_distance(x: np.ndarray, reference: np.ndarray) -> float:
 
 
 def _run_method(method, a, b, start, cfg):
-    if method == "cg":
-        return cg_solve(a, b, start, cfg)
-    if method == "cgls":
-        return cgls_solve(a, b, start, cfg)
-    return cgne_solve(a, b, start, cfg)
+    # looked up per call, so a solver replaced on this module (by a tracer, say) is the one run
+    return {"cg": cg_solve, "cgls": cgls_solve, "cgne": cgne_solve}[method](a, b, start, cfg)
 
 
 def _spectral_pipeline(method, a, rank_tol):
     """Decomposition, spectral summary, and residual-space bases."""
     if method == "cg":
-        decomp = symmetric_eig(a, rank_tol)
-        summary = {}
-        if decomp.rank > 0:
-            lam = decomp.lambdas_r
-            summary = {
-                "lambda_1": float(lam[0]),
-                "lambda_r": float(lam[-1]),
-                "kappa": float(lam[0] / lam[-1]),
-            }
-        return decomp, summary, decomp.q1, decomp.q2
-    sdec = svd(a, rank_tol)
+        dec = symmetric_eig(a, rank_tol)
+        values, names, bases = dec.lambdas_r, ("lambda_1", "lambda_r", "kappa"), (dec.q1, dec.q2)
+    else:
+        dec = svd(a, rank_tol)
+        values, names, bases = dec.sigmas_r, ("sigma_1", "sigma_r", "sigma_ratio"), (dec.u1, dec.u2)
     summary = {}
-    if sdec.rank > 0:
-        sig = sdec.sigmas_r
-        summary = {"sigma_1": float(sig[0]), "sigma_r": float(sig[-1]),
-                   "sigma_ratio": float(sig[0] / sig[-1])}
-    return sdec, summary, sdec.u1, sdec.u2
+    if dec.rank > 0:
+        first, last = float(values[0]), float(values[-1])
+        summary = dict(zip(names, (first, last, first / last)))
+    return dec, summary, *bases
 
 
 def _finish(args, command, method, dims, spectral, trace, checks, **fields) -> int:

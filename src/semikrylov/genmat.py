@@ -12,7 +12,7 @@ bit-identically on one platform and to rounding across platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -101,9 +101,7 @@ class ProblemSpec:
                 raise ValueError(f"{name} must be finite")
         if any(s < 0.0 for s in self.spectrum):
             raise ValueError("spectrum must be nonnegative")
-        if any(
-            self.spectrum[i] < self.spectrum[i + 1] for i in range(len(self.spectrum) - 1)
-        ):
+        if any(s < t for s, t in zip(self.spectrum, self.spectrum[1:])):
             raise ValueError("spectrum must be sorted descending")
         if not (0 <= int(self.seed) < 2**64):
             raise ValueError("seed must fit an unsigned 64-bit integer")
@@ -119,14 +117,7 @@ class ProblemSpec:
         return sum(1 for s in self.spectrum if s > 0.0)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dims": list(self.dims),
-            "spectrum": list(self.spectrum),
-            "seed": self.seed,
-            "consistency_gap": self.consistency_gap,
-            "x0_mode": self.x0_mode,
-        }
+        return asdict(self) | {"dims": list(self.dims), "spectrum": list(self.spectrum)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProblemSpec":

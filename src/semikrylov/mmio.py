@@ -6,9 +6,10 @@ full dense matrix. A coordinate entry given twice is rejected, not summed
 or overwritten. A size line may declare at most MAX_CELLS = 10**8 cells.
 Only ``_bulk`` turns a body into values, piece by piece straight into the
 result arrays, so a read needs the text plus a few copies of the matrix. A
-body it rejects is walked line by line once more, only to name the error and
-its 1-based line; that walk keeps no values, so a malformed file costs no more
-memory than a well-formed one. Writing emits ``array real general`` with 17
+body it rejects is walked line by line only to name the error and its 1-based
+line: once to count the entries, then, if the count is right, up to the first
+bad entry. The walks keep no values, so a malformed file costs no more memory
+than a well-formed one. Writing emits ``array real general`` with 17
 significant digits, formatted in blocks; files go through ``write_text_atomic``.
 """
 
@@ -34,6 +35,8 @@ _EOL = "\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
 _LINE = re.compile(f"[^{_EOL}]*(?:\r\n|[{_EOL}]|\\Z)")
 _SLICE = 1 << 16  # body characters parsed at a time, give or take one line
 _BLOCK = 1 << 12  # values the writer formats at a time
+# per character: 2 ends a line for str.splitlines, 1 is other whitespace for str.split, 0 neither
+_KIND = bytes(2 if len(f"a{chr(c)}a".splitlines()) > 1 else chr(c).isspace() for c in range(256))
 
 
 def _parse_int(token: str, line_no: int, what: str, least: int = 1) -> int:
@@ -93,21 +96,44 @@ def _check_entry(toks: list, no: int, fmt: str, rows: int, cols: int, symmetry: 
         raise MatrixMarketError(f"line {no}: symmetric entries must satisfy row >= col, got ({i}, {j})")
 
 
-def _body_error(lines, size_no: int, fmt: str, count: int, rows: int, cols: int, symmetry: str):
-    """The error of a body _bulk rejected: a wrong entry count, else its first bad entry."""
-    found, last, error = 0, size_no, None
-    for no, line in lines:
-        toks = line[0].split()
+def _pieces(text: str, start: int):
+    """text[start:] without comment lines, in pieces of about _SLICE characters that end at a "\\n"."""
+    while start < len(text):
+        end = text.find("\n", start + _SLICE - 1) + 1 or len(text)
+        piece, start = text[start:end], end
+        if "%" in piece:
+            piece = "\n".join(ln for ln in piece.splitlines() if not ln.lstrip().startswith("%"))
+        yield piece
+
+
+def _tokens_per_line(piece: str) -> np.ndarray:
+    """The str.split token count of each str.splitlines line of piece, give or take blank lines."""
+    if not piece.isascii():
+        return np.array([len(line.split()) for line in piece.splitlines()], dtype=np.intp)
+    # the leading space puts a whitespace character just before every token
+    kind = np.frombuffer((" " + piece).encode("ascii").translate(_KIND), np.uint8)
+    space = kind != 0
+    starts = np.flatnonzero(space[:-1] > space[1:])
+    ends = np.searchsorted(starts, np.flatnonzero(kind == 2))  # tokens before each line break
+    return np.diff(ends, prepend=0, append=starts.size)
+
+
+def _body_error(text: str, start: int, no: int, fmt: str, count: int, rows: int, cols: int,
+                symmetry: str):
+    """The error of a body text[start:], from line no, that _bulk rejected: a wrong count first."""
+    found, last = 0, no - 1
+    for per_line in map(_tokens_per_line, _pieces(text, start)):
         # an array entry is a token, a coordinate entry a line
-        found, last = found + (len(toks) if fmt == "array" else 1), no
-        if error is None:
-            try:
-                _check_entry(toks, no, fmt, rows, cols, symmetry)
-            except MatrixMarketError as exc:
-                error = exc
+        found += int(per_line.sum() if fmt == "array" else np.count_nonzero(per_line))
+    try:  # the entries are checked only when their count is right
+        for last, line in _content(text, start, no):
+            if found == count:
+                _check_entry(line[0].split(), last, fmt, rows, cols, symmetry)
+    except MatrixMarketError as exc:
+        return exc
     if found != count:
         return MatrixMarketError(f"line {last}: expected {count} entries, found {found}")
-    return error or MatrixMarketError(f"line {last}: {fmt} body does not parse")
+    return MatrixMarketError(f"line {last}: {fmt} body does not parse")
 
 
 def _bulk(text: str, start: int, fmt: str, count: int, rows: int, cols: int, symmetry: str):
@@ -115,7 +141,7 @@ def _bulk(text: str, start: int, fmt: str, count: int, rows: int, cols: int, sym
 
     This defines what a body may hold: the per-entry checks run only on a body
     it rejects, to name the error. Tokens are converted with Python's int and
-    float via numpy. Slices end just after a "\\n", so none cuts a line.
+    float via numpy.
     """
     width = 3 if fmt == "coordinate" else 1
     # allocate only if the body can hold count entries of 2 * width - 1 characters and a break
@@ -123,15 +149,11 @@ def _bulk(text: str, start: int, fmt: str, count: int, rows: int, cols: int, sym
         return None
     cells, values = np.empty(count if width == 3 else 0, dtype=np.int64), np.empty(count)
     k = 0
-    while start < len(text):
-        end = text.find("\n", start + _SLICE - 1) + 1 or len(text)
-        piece, start = text[start:end], end
-        if "%" in piece:
-            piece = "\n".join(ln for ln in piece.splitlines() if not ln.lstrip().startswith("%"))
+    for piece in _pieces(text, start):
         tokens = piece.split()
         m = len(tokens) // width
         # a coordinate entry is a line of its own; blank lines hold none
-        if k + m > count or width == 3 and set(map(len, map(str.split, piece.splitlines()))) - {0, 3}:
+        if k + m > count or width == 3 and not np.isin(_tokens_per_line(piece), (0, 3)).all():
             return None
         try:
             values[k : k + m] = np.array(tokens[width - 1 :: width], dtype=np.float64)
@@ -192,7 +214,7 @@ def read_matrix_market(text) -> np.ndarray:
         count = rows * cols if symmetry == "general" else rows * (rows + 1) // 2
     parsed = _bulk(text, size.end(), fmt, count, rows, cols, symmetry)
     if parsed is None:
-        raise _body_error(lines, size_no, fmt, count, rows, cols, symmetry)
+        raise _body_error(text, size.end(), size_no + 1, fmt, count, rows, cols, symmetry)
     cells, values = parsed
     if fmt == "array":
         # column-major order; symmetric storage lists the lower triangle

@@ -18,10 +18,15 @@ On singular systems the curvature denominator (A p, p) can degenerate when
 the right-hand side sticks out of the range; the solvers then stop with
 stop_reason "breakdown" instead of dividing, since that is an expected
 regime rather than a bug.
+
+At desk scale the loops are bound by numpy dispatch, not flops, so they use
+``ndarray.dot`` and ``math.sqrt``; the results equal those of ``@`` and
+``np.linalg.norm`` bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -106,35 +111,35 @@ def _cg_recurrence(apply, x, r, cap: int, stop: float, breakdown_tol: float, rec
     the recorded states need no copies.
     """
     p = r
-    rr = float(r @ r)
+    rr = float(r.dot(r))
     alphas: list[float] = []
     betas: list[float] = []
-    res_norms = [float(np.sqrt(rr))]
+    res_norms = [math.sqrt(rr)]
     xs, rs, ps = ([x], [r], [p]) if record else ([], [], [])
 
     while True:
-        if np.sqrt(rr) <= stop:
+        if res_norms[-1] <= stop:
             stop_reason = CONVERGED
             break
         if len(alphas) >= cap:
             stop_reason = MAX_ITERS
             break
         ap = apply(p)
-        curvature = float(p @ ap)
-        if curvature <= breakdown_tol * float(p @ p):
+        curvature = float(p.dot(ap))
+        if curvature <= breakdown_tol * float(p.dot(p)):
             stop_reason = BREAKDOWN
             break
         alpha = rr / curvature
         x = x + alpha * p
         r = r - alpha * ap
-        rr_next = float(r @ r)
+        rr_next = float(r.dot(r))
         beta = rr_next / rr
         p = r + beta * p
         rr = rr_next
 
         alphas.append(alpha)
         betas.append(beta)
-        res_norms.append(float(np.sqrt(rr)))
+        res_norms.append(math.sqrt(rr))
         if record:
             xs.append(x)
             rs.append(r)
@@ -178,7 +183,7 @@ def cg_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
     stop = cfg.rel_tol * max(float(np.linalg.norm(b)), 1.0)
     x = x0.copy()
     cap, record = cfg.iteration_cap(n), cfg.record_trace
-    return _cg_recurrence(lambda p: a @ p, x, b - a @ x, cap, stop, cfg.breakdown_tol, record)
+    return _cg_recurrence(a.dot, x, b - a @ x, cap, stop, cfg.breakdown_tol, record)
 
 
 def cgls_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
@@ -203,15 +208,16 @@ def cgls_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
     stop = (cfg.rel_tol * max(float(np.linalg.norm(a.T @ b)), 1.0)) ** 2
 
     x = x0.copy()
+    at = a.T
     r = b - a @ x
-    s = a.T @ r
+    s = at.dot(r)
     p = s
-    gamma = float(s @ s)
+    gamma = float(s.dot(s))
 
     alphas: list[float] = []
     betas: list[float] = []
-    res_norms = [float(np.linalg.norm(r))]
-    normal_res_norms = [float(np.sqrt(gamma))]
+    res_norms = [math.sqrt(float(r.dot(r)))]
+    normal_res_norms = [math.sqrt(gamma)]
     xs, rs, ps, ss = ([x], [r], [p], [s]) if cfg.record_trace else ([], [], [], [])
 
     while True:
@@ -221,43 +227,33 @@ def cgls_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
         if len(alphas) >= cap:
             stop_reason = MAX_ITERS
             break
-        q = a @ p
-        qq = float(q @ q)
-        if qq <= cfg.breakdown_tol * float(p @ p):
+        q = a.dot(p)
+        qq = float(q.dot(q))
+        if qq <= cfg.breakdown_tol * float(p.dot(p)):
             stop_reason = BREAKDOWN
             break
         alpha = gamma / qq
         x = x + alpha * p
         r = r - alpha * q
-        s = a.T @ r
-        gamma_next = float(s @ s)
+        s = at.dot(r)
+        gamma_next = float(s.dot(s))
         beta = gamma_next / gamma
         p = s + beta * p
         gamma = gamma_next
 
         alphas.append(alpha)
         betas.append(beta)
-        res_norms.append(float(np.linalg.norm(r)))
-        normal_res_norms.append(float(np.sqrt(gamma)))
+        res_norms.append(math.sqrt(float(r.dot(r))))
+        normal_res_norms.append(math.sqrt(gamma))
         if cfg.record_trace:
             xs.append(x)
             rs.append(r)
             ps.append(p)
             ss.append(s)
 
-    return SolveTrace(
-        method="cgls",
-        stop_reason=stop_reason,
-        x=x,
-        alphas=alphas,
-        betas=betas,
-        res_norms=res_norms,
-        iterates=_rows(xs, n),
-        residuals=_rows(rs, m),
-        directions=_rows(ps, n),
-        normal_res_norms=normal_res_norms,
-        normal_residuals=_rows(ss, n),
-    )
+    states = (_rows(xs, n), _rows(rs, m), _rows(ps, n))
+    return SolveTrace("cgls", stop_reason, x, alphas, betas, res_norms, *states,
+                      normal_res_norms=normal_res_norms, normal_residuals=_rows(ss, n))
 
 
 def cgne_solve(a, b, y0, cfg: SolverConfig | None = None) -> SolveTrace:
@@ -279,10 +275,10 @@ def cgne_solve(a, b, y0, cfg: SolverConfig | None = None) -> SolveTrace:
         raise ValueError(f"initial guess length {y0.shape[0]} does not match {m} rows")
 
     stop = cfg.rel_tol * max(float(np.linalg.norm(b)), 1.0)
-    y = y0.copy()
+    y, at = y0.copy(), a.T
     cap, record = cfg.iteration_cap(m), cfg.record_trace
     run = _cg_recurrence(
-        lambda p: a @ (a.T @ p), y, b - a @ (a.T @ y), cap, stop, cfg.breakdown_tol, record
+        lambda p: a.dot(at.dot(p)), y, b - a @ (at @ y), cap, stop, cfg.breakdown_tol, record
     )
     y, ys = run.x, run.iterates
-    return replace(run, method="cgne", x=a.T @ y, iterates=ys @ a, y=y, y_iterates=ys)
+    return replace(run, method="cgne", x=at @ y, iterates=ys @ a, y=y, y_iterates=ys)

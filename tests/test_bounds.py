@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from semikrylov.bounds import cg_bound_verify, cgls_bound_verify, cgne_bound_verify
+from semikrylov.bounds import (
+    NOISE_CUT,
+    SLACK_FLOOR,
+    SLACK_REL,
+    _violations,
+    cg_bound_verify,
+    cgls_bound_verify,
+    cgne_bound_verify,
+)
 from semikrylov.decomposition import decomposed_cg_run, equivalence_check
 from semikrylov.genmat import ProblemSpec, make_problem
 from semikrylov.linalg import svd, symmetric_eig
@@ -205,3 +213,35 @@ def _unrecorded_traces():
 def test_unrecorded_trace_is_rejected(check):
     with pytest.raises(ValueError, match="no recorded"):
         _unrecorded_traces()[check]()
+
+
+def looped_violations(measured, bound):
+    """The violation scan one state at a time, as a reference."""
+    m0, out = measured[0], []
+    for k, (mk, bk) in enumerate(zip(measured, bound)):
+        if mk < NOISE_CUT * m0:
+            break
+        if mk > bk * (1.0 + SLACK_REL) + SLACK_FLOOR * m0:
+            out.append((k, mk, bk))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_violations_equal_the_state_by_state_scan(seed):
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(1, 60))
+    bound = [2.0 * 0.7**k for k in range(count)]
+    # near the envelope, so some states escape it by less than the slack and some by more
+    measured = (np.array(bound) * (1.0 + rng.normal(scale=3e-6, size=count))).tolist()
+    measured[0] = 1.0
+    if seed % 2:
+        # a state at rounding level ends the scan, though later ones escape the envelope
+        measured[int(rng.integers(1, count + 1)) :] = [1e-13, 5.0, 5.0]
+    if seed % 3 == 0:
+        measured[int(rng.integers(0, len(measured)))] = math.nan
+    bound = bound + [2.0 * 0.7**k for k in range(count, len(measured))]
+    got = _violations(measured, bound)
+    assert got == looped_violations(measured, bound)
+    assert all(type(k) is int and type(mk) is float and type(bk) is float for k, mk, bk in got)
+    if seed == 0:
+        assert got

@@ -598,3 +598,33 @@ def test_failed_save_leaves_no_temp_file(tmp_path):
     with pytest.raises(OSError, match="target"):
         save_matrix_market(tmp_path / "target", [[1.0]])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["target"]
+
+
+@pytest.mark.parametrize("fmt", ["array", "coordinate"])
+def test_a_short_body_is_rejected_without_checking_any_entry(fmt, monkeypatch):
+    a = np.random.default_rng(6).normal(size=(40, 40))
+    if fmt == "array":
+        text, message = _malformed_texts(a)["one entry short"]
+    else:
+        entries = [f"{i + 1} {j + 1} {a[i, j]!r}\n" for i in range(40) for j in range(40)]
+        text = "%%MatrixMarket matrix coordinate real general\n40 40 1600\n" + "".join(entries[:-1])
+        message = "line 1601: expected 1600 entries, found 1599"
+    monkeypatch.setattr(mmio, "_check_entry", mock.Mock(side_effect=AssertionError("entry checked")))
+    with pytest.raises(MatrixMarketError) as err:
+        read_matrix_market(text)
+    assert str(err.value) == message
+    mmio._check_entry.assert_not_called()
+
+
+# every ASCII character that str.split or str.splitlines treats specially, and some that neither does
+ASCII_PIECES = ["1", "x", "%", "\x00", "\x1b", " ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c",
+                "\x1d", "\x1e", "\x1f"]
+
+
+@given(st.one_of(st.lists(st.sampled_from(ASCII_PIECES), max_size=20).map("".join),
+                 st.lists(st.sampled_from(ASCII_PIECES + SEPARATORS + LINE_ENDS), max_size=20).map("".join)))
+@settings(max_examples=500, deadline=None)
+def test_tokens_per_line_are_those_of_str_split_on_str_splitlines(piece):
+    # only blank lines may differ, such as the one after a final line break
+    counts = [n for n in mmio._tokens_per_line(piece).tolist() if n]
+    assert counts == [n for n in map(len, map(str.split, piece.splitlines())) if n]

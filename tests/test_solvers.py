@@ -3,10 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from semikrylov.decomposition import decomposed_cg_run
 from semikrylov.genmat import ProblemSpec, make_problem
 from semikrylov.linalg import symmetric_eig
-from semikrylov.oracle import pinv_apply_rect, pseudoinverse_apply
-from semikrylov.solvers import SolverConfig, cg_solve, cgls_solve, cgne_solve
+from semikrylov.oracle import pinv_apply_rect, pseudoinverse_apply, split
+from semikrylov.solvers import SolverConfig, _cg_recurrence, cg_solve, cgls_solve, cgne_solve
 from semikrylov.linalg import svd
 
 
@@ -269,3 +270,162 @@ class TestSolverConfig:
     def test_default_cap_scales_with_unknowns(self):
         assert SolverConfig().iteration_cap(7) == 70
         assert SolverConfig(max_iters=3).iteration_cap(7) == 3
+
+
+def textbook_cg(apply, x, r, cap, stop, breakdown_tol=1e-14):
+    """CG as it reads in the textbook, with ``@`` and ``np.sqrt``, keeping every state."""
+    p, rr = r, float(r @ r)
+    run = {"alphas": [], "betas": [], "res_norms": [float(np.sqrt(rr))], "xs": [x], "rs": [r], "ps": [p]}
+    while True:
+        if np.sqrt(rr) <= stop:
+            return run | {"stop_reason": "converged", "x": x}
+        if len(run["alphas"]) >= cap:
+            return run | {"stop_reason": "max_iters", "x": x}
+        ap = apply(p)
+        curvature = float(p @ ap)
+        if curvature <= breakdown_tol * float(p @ p):
+            return run | {"stop_reason": "breakdown", "x": x}
+        alpha = rr / curvature
+        x = x + alpha * p
+        r = r - alpha * ap
+        rr_next = float(r @ r)
+        beta = rr_next / rr
+        p = r + beta * p
+        rr = rr_next
+        run["alphas"].append(alpha)
+        run["betas"].append(beta)
+        run["res_norms"].append(float(np.sqrt(rr)))
+        run["xs"].append(x)
+        run["rs"].append(r)
+        run["ps"].append(p)
+
+
+def textbook_cgls(a, b, x, cap, stop, breakdown_tol=1e-14):
+    """CGLS in the same form, with ``@``, ``np.linalg.norm`` and ``np.sqrt``."""
+    r = b - a @ x
+    s = a.T @ r
+    p, gamma = s, float(s @ s)
+    run = {"alphas": [], "betas": [], "res_norms": [float(np.linalg.norm(r))],
+           "normal_res_norms": [float(np.sqrt(gamma))], "xs": [x], "rs": [r], "ps": [p], "ss": [s]}
+    while True:
+        if gamma <= stop:
+            return run | {"stop_reason": "converged", "x": x}
+        if len(run["alphas"]) >= cap:
+            return run | {"stop_reason": "max_iters", "x": x}
+        q = a @ p
+        qq = float(q @ q)
+        if qq <= breakdown_tol * float(p @ p):
+            return run | {"stop_reason": "breakdown", "x": x}
+        alpha = gamma / qq
+        x = x + alpha * p
+        r = r - alpha * q
+        s = a.T @ r
+        gamma_next = float(s @ s)
+        beta = gamma_next / gamma
+        p = s + beta * p
+        gamma = gamma_next
+        for key, value in [("alphas", alpha), ("betas", beta), ("res_norms", float(np.linalg.norm(r))),
+                           ("normal_res_norms", float(np.sqrt(gamma))), ("xs", x), ("rs", r), ("ps", p),
+                           ("ss", s)]:
+            run[key].append(value)
+
+
+def _bit_identical(got, want):
+    assert np.array_equal(np.asarray(got), np.asarray(want)), "differs"
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def _bit_problem(kind, consistent):
+    dims = {"spsd": (30, 30), "tall": (34, 30), "wide": (24, 30)}[kind]
+    rank = 20
+    spectrum = tuple(np.geomspace(1.0, 1e-3, rank)) + (0.0,) * (min(dims) - rank)
+    spec = ProblemSpec("spsd" if kind == "spsd" else "rectangular", dims, spectrum, seed=44,
+                       consistency_gap=0.0 if consistent else 1e-2, x0_mode="random_full")
+    return make_problem(spec)
+
+
+class CountingOperator:
+    def __init__(self, a):
+        self.a, self.calls = a, 0
+
+    def __call__(self, p):
+        self.calls += 1
+        return self.a @ p
+
+
+class TestBitIdenticalToTextbookLoops:
+    """The loops use ndarray.dot and math.sqrt; every result equals the ``@``/np.linalg.norm form."""
+
+    @pytest.mark.parametrize("consistent", [True, False])
+    def test_cg_solve(self, consistent):
+        problem = _bit_problem("spsd", consistent)
+        a, b, x0 = problem.a, problem.b, problem.x0
+        trace = cg_solve(a, b, x0)
+        want = textbook_cg(lambda p: a @ p, x0, b - a @ x0, 10 * 30, 1e-12 * max(np.linalg.norm(b), 1.0))
+        assert trace.stop_reason == want["stop_reason"] == ("converged" if consistent else "breakdown")
+        for got, key in [(trace.alphas, "alphas"), (trace.betas, "betas"), (trace.res_norms, "res_norms"),
+                         (trace.x, "x"), (trace.iterates, "xs"), (trace.residuals, "rs"),
+                         (trace.directions, "ps")]:
+            _bit_identical(got, want[key])
+
+    @pytest.mark.parametrize("consistent", [True, False])
+    def test_cgne_solve(self, consistent):
+        problem = _bit_problem("wide" if consistent else "tall", consistent)
+        a, b = problem.a, problem.b
+        y0 = np.random.default_rng(45).standard_normal(a.shape[0])
+        trace = cgne_solve(a, b, y0)
+        want = textbook_cg(lambda p: a @ (a.T @ p), y0, b - a @ (a.T @ y0), 10 * a.shape[0],
+                           1e-12 * max(np.linalg.norm(b), 1.0))
+        assert trace.stop_reason == want["stop_reason"] == ("converged" if consistent else "breakdown")
+        ys = np.array(want["xs"])
+        for got, wanted in [(trace.alphas, want["alphas"]), (trace.betas, want["betas"]),
+                            (trace.res_norms, want["res_norms"]), (trace.y, want["x"]),
+                            (trace.y_iterates, ys), (trace.x, a.T @ want["x"]), (trace.iterates, ys @ a),
+                            (trace.residuals, want["rs"]), (trace.directions, want["ps"])]:
+            _bit_identical(got, wanted)
+
+    @pytest.mark.parametrize("consistent", [True, False])
+    def test_cgls_solve(self, consistent):
+        problem = _bit_problem("tall", consistent)
+        a, b, x0 = problem.a, problem.b, problem.x0
+        trace = cgls_solve(a, b, x0)
+        want = textbook_cgls(a, b, x0, 10 * 30, (1e-12 * max(np.linalg.norm(a.T @ b), 1.0)) ** 2)
+        assert trace.stop_reason == want["stop_reason"]
+        assert trace.iterations > 10
+        for got, key in [(trace.alphas, "alphas"), (trace.betas, "betas"), (trace.res_norms, "res_norms"),
+                         (trace.normal_res_norms, "normal_res_norms"), (trace.x, "x"),
+                         (trace.iterates, "xs"), (trace.residuals, "rs"), (trace.directions, "ps"),
+                         (trace.normal_residuals, "ss")]:
+            _bit_identical(got, want[key])
+
+    @pytest.mark.parametrize("consistent", [True, False])
+    def test_decomposed_cg_run(self, consistent):
+        problem = _bit_problem("spsd", consistent)
+        dec = symmetric_eig(problem.a)
+        b, x0, rank = problem.b, problem.x0, dec.rank
+        # past the plain run's 32 (consistent) or 30 iterations, so that both runs break down
+        iters = 300
+        dtrace = decomposed_cg_run(dec, b, x0, iters)
+        lam_full = np.concatenate([dec.lambdas_r, np.zeros(dec.dim - rank)])
+        b1, b2 = split(dec, b).range_part, split(dec, b).null_part
+        x1, x2 = split(dec, x0).range_part, split(dec, x0).null_part
+        x, r = np.concatenate([x1, x2]), np.concatenate([b1 - dec.lambdas_r * x1, b2])
+        want = textbook_cg(lambda p: lam_full * p, x, r, iters, -1.0)
+        assert dtrace.stop_reason == want["stop_reason"] == "breakdown"
+        _bit_identical(dtrace.alphas, want["alphas"])
+        _bit_identical(dtrace.betas, want["betas"])
+        for block, key in [((dtrace.x1, dtrace.x2), "xs"), ((dtrace.r1, dtrace.r2), "rs"),
+                           ((dtrace.p1, dtrace.p2), "ps")]:
+            _bit_identical(np.hstack(block), want[key])
+
+    @pytest.mark.parametrize("consistent, cap, reason", [
+        (True, 300, "converged"), (False, 300, "breakdown"), (True, 5, "max_iters"),
+    ])
+    def test_operator_applied_once_per_iteration(self, consistent, cap, reason):
+        problem = _bit_problem("spsd", consistent)
+        a, b, x0 = problem.a, problem.b, problem.x0
+        apply = CountingOperator(a)
+        run = _cg_recurrence(apply, x0, b - a @ x0, cap, 1e-12 * np.linalg.norm(b), 1e-14, False)
+        assert run.stop_reason == reason
+        # a breakdown is found after one more apply, for the attempt that did not complete
+        assert apply.calls == run.iterations + (reason == "breakdown")
