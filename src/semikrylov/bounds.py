@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SingularDecomposition, SpectralDecomposition
-from .oracle import DEFAULT_CONSISTENCY_TOL, consistency_check
+from .oracle import ConsistencyReport, _consistency, consistency_check
 from .solvers import SolveTrace
 
 SLACK_REL = 1e-6
@@ -65,6 +65,28 @@ def _bound_report(kind: str, measured: np.ndarray, rho: float, spectrum) -> Boun
     return BoundReport(kind, measured.tolist(), bound, rho, extremes, bad, not bad)
 
 
+def _check_trace(trace: SolveTrace, method: str, history, what: str, rank: int) -> None:
+    """Raise unless trace is a ``method`` trace that recorded ``history``, on nonzero rank."""
+    if trace.method != method:
+        raise ValueError(f"{method}_bound_verify expects a {method} trace")
+    if any(h is None or len(h) == 0 for h in history):
+        raise ValueError(f"trace has no recorded {what}")
+    if rank == 0:
+        raise ValueError("bound undefined for a zero-rank matrix")
+
+
+def _check_consistent(report: ConsistencyReport, bound: str) -> None:
+    if not report.consistent:
+        raise ValueError(
+            f"right-hand side has null-space content {report.null_norm:.3e}; "
+            f"{bound} only covers consistent systems"
+        )
+
+
+def _sigma_rho(sig: np.ndarray) -> float:
+    return float((sig[0] - sig[-1]) / (sig[0] + sig[-1]))
+
+
 def cg_bound_verify(trace: SolveTrace, decomp: SpectralDecomposition) -> BoundReport:
     """Check the energy-norm contraction of a plain cg trace.
 
@@ -76,19 +98,9 @@ def cg_bound_verify(trace: SolveTrace, decomp: SpectralDecomposition) -> BoundRe
     the trace and must be consistent; the trace must carry its vector
     history.
     """
-    if trace.method != "cg":
-        raise ValueError("cg_bound_verify expects a cg trace")
-    if len(trace.residuals) == 0:
-        raise ValueError("trace has no recorded residual vectors")
-    if decomp.rank == 0:
-        raise ValueError("bound undefined for a zero-rank matrix")
+    _check_trace(trace, "cg", [trace.residuals], "residual vectors", decomp.rank)
     b = trace.residuals[0] + decomp.apply(trace.iterates[0])
-    report = consistency_check(decomp, b)
-    if not report.consistent:
-        raise ValueError(
-            f"right-hand side has null-space content {report.null_norm:.3e}; "
-            "the energy bound only covers consistent systems"
-        )
+    _check_consistent(consistency_check(decomp, b), "the energy bound")
 
     lam = decomp.lambdas_r
     kappa = float(lam[0] / lam[-1])
@@ -106,17 +118,11 @@ def cgls_bound_verify(
     singular values; xstar should be the minimum-norm least squares
     solution (see ``pinv_apply_rect``).
     """
-    if trace.method != "cgls":
-        raise ValueError("cgls_bound_verify expects a cgls trace")
-    if len(trace.iterates) == 0:
-        raise ValueError("trace has no recorded iterate vectors")
-    if sdec.rank == 0:
-        raise ValueError("bound undefined for a zero-rank matrix")
+    _check_trace(trace, "cgls", [trace.iterates], "iterate vectors", sdec.rank)
     sig = sdec.sigmas_r
-    rho = float((sig[0] - sig[-1]) / (sig[0] + sig[-1]))
     # ||A e|| = ||Sigma_r V1^T e||, since U1 has orthonormal columns
     measured = np.linalg.norm((trace.iterates - xstar) @ sdec.v1 * sig, axis=1)
-    return _bound_report("cgls_range_residual", measured, rho, sig)
+    return _bound_report("cgls_range_residual", measured, _sigma_rho(sig), sig)
 
 
 def cgne_bound_verify(trace: SolveTrace, sdec: SingularDecomposition) -> BoundReport:
@@ -126,22 +132,11 @@ def cgne_bound_verify(trace: SolveTrace, sdec: SingularDecomposition) -> BoundRe
     the same rho as the cgls bound. Requires a consistent right-hand side,
     reconstructed from the trace.
     """
-    if trace.method != "cgne":
-        raise ValueError("cgne_bound_verify expects a cgne trace")
-    if len(trace.residuals) == 0 or trace.y_iterates is None or len(trace.y_iterates) == 0:
-        raise ValueError("trace has no recorded vector history")
-    if sdec.rank == 0:
-        raise ValueError("bound undefined for a zero-rank matrix")
+    _check_trace(trace, "cgne", [trace.residuals, trace.y_iterates], "vector history", sdec.rank)
     y0 = trace.y_iterates[0]
     b = trace.residuals[0] + sdec.apply(sdec.apply_transpose(y0))
-    null_norm = float(np.linalg.norm(sdec.u2.T @ b))
-    if null_norm > DEFAULT_CONSISTENCY_TOL * max(float(np.linalg.norm(b)), 1.0):
-        raise ValueError(
-            f"right-hand side has null-space content {null_norm:.3e}; "
-            "the bound only covers consistent systems"
-        )
+    _check_consistent(_consistency(sdec.u2, b), "the bound")
 
     sig = sdec.sigmas_r
-    rho = float((sig[0] - sig[-1]) / (sig[0] + sig[-1]))
     measured = np.sum((trace.residuals @ sdec.u1 / sig) ** 2, axis=1)
-    return _bound_report("cgne_energy", measured, rho, sig)
+    return _bound_report("cgne_energy", measured, _sigma_rho(sig), sig)

@@ -27,7 +27,7 @@ import numpy as np
 from .bounds import cg_bound_verify, cgls_bound_verify, cgne_bound_verify
 from .decomposition import decomposed_cg_run, equivalence_check, null_direction_confinement
 from .genmat import ProblemSpec, make_problem
-from .linalg import DEFAULT_RANK_TOL, ConvergenceError, _check_tolerance, svd, symmetric_eig
+from .linalg import DEFAULT_RANK_TOL, ConvergenceError, _check_tolerance, _scale, svd, symmetric_eig
 from .mmio import load_matrix_market, write_matrix_market
 from .oracle import consistency_check, pinv_apply_rect, pseudoinverse_apply
 from .report import RunReport, trace_csv_text, write_text_atomic
@@ -94,7 +94,10 @@ def _load_problem(args):
 
 
 def _relative_distance(x: np.ndarray, reference: np.ndarray) -> float:
-    return float(np.linalg.norm(x - reference)) / max(float(np.linalg.norm(reference)), 1.0)
+    """||x - reference|| / max(||reference||, 1); the largest over the rows of a 2-d x."""
+    diff = x - reference
+    dist = np.max(np.linalg.norm(diff, axis=1)) if diff.ndim == 2 else np.linalg.norm(diff)
+    return float(dist) / _scale(np.linalg.norm(reference))
 
 
 def _run_method(method, a, b, start, cfg):
@@ -216,19 +219,15 @@ def _cmd_diagnose(args) -> int:
     q2 = decomp.q2
     if cons.consistent:
         x2 = trace.iterates @ q2
-        drift = float(np.max(np.linalg.norm(x2 - x2[0], axis=1))) / max(
-            float(np.linalg.norm(x2[0])), 1.0
-        )
+        drift = _relative_distance(x2, x2[0])
         checks["null_stagnation"] = drift <= args.tol
         diagnostics["max_null_drift"] = drift
     else:
         confinement = null_direction_confinement(dtrace, args.tol)
         checks["null_confinement"] = confinement.passed
         diagnostics["max_null_direction_sine"] = confinement.max_angle
-        b2 = dtrace.b2
-        scale = max(float(np.linalg.norm(b2)), 1.0)
         r2 = trace.residuals[: equivalence.iterations_compared + 1] @ q2
-        residual_drift = float(np.max(np.linalg.norm(r2 - b2, axis=1))) / scale
+        residual_drift = _relative_distance(r2, dtrace.b2)
         checks["null_residual_constant"] = residual_drift <= args.tol
         diagnostics["max_null_residual_drift"] = residual_drift
 

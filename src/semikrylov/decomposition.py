@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SpectralDecomposition, as_vector
+from .linalg import SpectralDecomposition, _scale, as_vector
 from .oracle import split
 from .solvers import BREAKDOWN, SolveTrace, _cg_recurrence
 
@@ -112,9 +112,7 @@ def _scalar_devs(a, b) -> np.ndarray:
 
 def _block_devs(reference: np.ndarray, other: np.ndarray) -> np.ndarray:
     """Per-row ||reference_k - other_k|| / max(||reference_k||, 1)."""
-    return np.linalg.norm(reference - other, axis=1) / np.maximum(
-        np.linalg.norm(reference, axis=1), 1.0
-    )
+    return np.linalg.norm(reference - other, axis=1) / _scale(np.linalg.norm(reference, axis=1))
 
 
 def _healthy_states(trace: SolveTrace, dtrace: DecomposedTrace) -> int:

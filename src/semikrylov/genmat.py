@@ -164,19 +164,14 @@ def make_problem(spec: ProblemSpec) -> GeneratedProblem:
     orth_seed, orth_seed2, w_seed, gap_seed, x0_seed = _subseeds(spec.seed, 5)
     spectrum = np.asarray(spec.spectrum, dtype=np.float64)
 
+    # spsd takes the same orthogonal factor on both sides (m == n); views, never copies
+    u = random_orthogonal(m, orth_seed)
+    v = u if spec.kind == "spsd" else random_orthogonal(n, orth_seed2)
+    k = min(m, n)
+    a = (u[:, :k] * spectrum) @ v[:, :k].T
     if spec.kind == "spsd":
-        q = random_orthogonal(n, orth_seed)
-        a = (q * spectrum) @ q.T
         a = 0.5 * (a + a.T)
-        left1, left2 = q[:, :r], q[:, r:]
-        right1 = q[:, :r]
-    else:
-        u = random_orthogonal(m, orth_seed)
-        v = random_orthogonal(n, orth_seed2)
-        k = min(m, n)
-        a = (u[:, :k] * spectrum) @ v[:, :k].T
-        left1, left2 = u[:, :r], u[:, r:]
-        right1 = v[:, :r]
+    left1, left2, right1 = u[:, :r], u[:, r:], v[:, :r]
 
     w = _normals(_generator(w_seed), n)
     b = a @ w

@@ -52,10 +52,15 @@ def _check_tolerance(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
+def _scale(size):
+    """The size, but at least 1 (per entry for an array): the scale of every tolerance test."""
+    floored = np.maximum(size, 1.0)
+    return floored if floored.ndim else float(floored)
+
+
 def check_symmetric(a: np.ndarray) -> None:
     """Raise ValueError if the (square) matrix is not symmetric within tolerance."""
-    scale = max(float(np.max(np.abs(a))), 1.0)
-    if float(np.max(np.abs(a - a.T))) > _SYMMETRY_TOL * scale:
+    if float(np.max(np.abs(a - a.T))) > _SYMMETRY_TOL * _scale(np.max(np.abs(a))):
         raise ValueError("matrix is not symmetric within tolerance")
 
 
@@ -157,8 +162,7 @@ class SingularDecomposition:
 
 
 def _numerical_rank(values: np.ndarray, rank_tol: float) -> int:
-    cut = rank_tol * max(float(values[0]), 1.0)
-    return int(np.sum(values > cut))
+    return int(np.sum(values > rank_tol * _scale(values[0])))
 
 
 def symmetric_eig(a, rank_tol: float = DEFAULT_RANK_TOL) -> SpectralDecomposition:

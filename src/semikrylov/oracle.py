@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SingularDecomposition, SpectralDecomposition, as_vector
+from .linalg import SingularDecomposition, SpectralDecomposition, _scale, as_vector
 
 DEFAULT_CONSISTENCY_TOL = 1e-10
 
@@ -86,7 +86,12 @@ def consistency_check(
     null_norm is ||Q2^T b||; the system counts as consistent when it does not
     exceed tol * max(||b||, 1).
     """
-    b = _checked(decomp, b)
-    null_norm = float(np.linalg.norm(decomp.q2.T @ b))
-    consistent = null_norm <= tol * max(float(np.linalg.norm(b)), 1.0)
-    return ConsistencyReport(consistent, null_norm)
+    return _consistency(decomp.q2, _checked(decomp, b), tol)
+
+
+def _consistency(
+    null_basis: np.ndarray, b: np.ndarray, tol: float = DEFAULT_CONSISTENCY_TOL
+) -> ConsistencyReport:
+    """ConsistencyReport of b against the null basis (Q2, or U2 of an SVD) of the range."""
+    null_norm = float(np.linalg.norm(null_basis.T @ b))
+    return ConsistencyReport(null_norm <= tol * _scale(np.linalg.norm(b)), null_norm)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import _check_tolerance, as_matrix, as_vector, check_symmetric
+from .linalg import _check_tolerance, _scale, as_matrix, as_vector, check_symmetric
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
@@ -150,6 +150,14 @@ def _cg_recurrence(apply, x, r, cap: int, stop: float, breakdown_tol: float, rec
     return SolveTrace("cg", stop_reason, x, alphas, betas, res_norms, *states)
 
 
+def _cg_from(apply, b, start, cfg: SolverConfig) -> SolveTrace:
+    """_cg_recurrence from a copy of start, stopping once ||r_i|| <= rel_tol * max(||b||, 1)."""
+    x = start.copy()
+    stop = cfg.rel_tol * _scale(np.linalg.norm(b))
+    cap = cfg.iteration_cap(b.shape[0])
+    return _cg_recurrence(apply, x, b - apply(x), cap, stop, cfg.breakdown_tol, cfg.record_trace)
+
+
 def cg_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
     """Plain conjugate gradients on a symmetric system A x = b.
 
@@ -180,10 +188,7 @@ def cg_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
     if b.shape[0] != n or x0.shape[0] != n:
         raise ValueError("right-hand side and initial guess must match the matrix dimension")
 
-    stop = cfg.rel_tol * max(float(np.linalg.norm(b)), 1.0)
-    x = x0.copy()
-    cap, record = cfg.iteration_cap(n), cfg.record_trace
-    return _cg_recurrence(a.dot, x, b - a @ x, cap, stop, cfg.breakdown_tol, record)
+    return _cg_from(a.dot, b, x0, cfg)
 
 
 def cgls_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
@@ -205,7 +210,7 @@ def cgls_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
         raise ValueError(f"initial guess length {x0.shape[0]} does not match {n} columns")
 
     cap = cfg.iteration_cap(n)
-    stop = (cfg.rel_tol * max(float(np.linalg.norm(a.T @ b)), 1.0)) ** 2
+    stop = (cfg.rel_tol * _scale(np.linalg.norm(a.T @ b))) ** 2
 
     x = x0.copy()
     at = a.T
@@ -274,11 +279,7 @@ def cgne_solve(a, b, y0, cfg: SolverConfig | None = None) -> SolveTrace:
     if y0.shape[0] != m:
         raise ValueError(f"initial guess length {y0.shape[0]} does not match {m} rows")
 
-    stop = cfg.rel_tol * max(float(np.linalg.norm(b)), 1.0)
-    y, at = y0.copy(), a.T
-    cap, record = cfg.iteration_cap(m), cfg.record_trace
-    run = _cg_recurrence(
-        lambda p: a.dot(at.dot(p)), y, b - a @ (at @ y), cap, stop, cfg.breakdown_tol, record
-    )
+    at = a.T
+    run = _cg_from(lambda p: a.dot(at.dot(p)), b, y0, cfg)
     y, ys = run.x, run.iterates
     return replace(run, method="cgne", x=at @ y, iterates=ys @ a, y=y, y_iterates=ys)

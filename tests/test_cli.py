@@ -1,13 +1,16 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semikrylov import cli
 from semikrylov.cli import SEED_ENV, run_command
 from semikrylov.genmat import ProblemSpec, make_problem
 from semikrylov.linalg import symmetric_eig
@@ -534,3 +537,42 @@ class TestArgvFuzz:
         if code == 2:
             assert "error: " in err.getvalue(), argv
         assert not list(fuzz_dir.rglob(".tmp-*")), argv
+
+
+def _load_script(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ROOT = Path(__file__).resolve().parent.parent
+tracing = _load_script(ROOT / "bench" / "tracing.py")
+golden_script = _load_script(ROOT / "tests" / "data" / "make_golden_reports.py")
+CLI_SITES = [name for module, name, _ in tracing.WRAP_SITES
+             if module == "semikrylov.cli" and name != "run_command"]
+
+
+def test_every_traced_cli_name_is_called_through_the_module(tmp_path, monkeypatch):
+    """The benchmark's tracer wraps each name that cli imports, on the cli module itself.
+
+    A call that bypasses the module global (say, a table of functions built at
+    import) would drop out of the trace; so every wrapped name must run at least
+    once over the golden cases that are not errors.
+    """
+    assert len(CLI_SITES) == 19
+    calls = dict.fromkeys(CLI_SITES, 0)
+    for name in CLI_SITES:
+        def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    golden_script.write_inputs(tmp_path)
+    cases = [(name, argv) for name, argv, env in golden_script.CASES
+             if not name.startswith("error_") and not env]
+    assert len(cases) == 19
+    for name, argv in cases:
+        assert golden_script.run_case(tmp_path, argv)["exit"] in (0, 1), name
+    assert [name for name, count in calls.items() if count == 0] == []

@@ -7,6 +7,9 @@ only have to absorb rounding differences between BLAS builds.
 """
 
 import importlib.util
+import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -75,3 +78,16 @@ def test_decomposed_run_matches_golden(golden, family):
         for block, want in ((f"{name}1", want1), (f"{name}2", want2)):
             assert fields[block].shape == want.shape
             assert _row_devs(fields[block], want, scale).max() <= rtol, f"{prefix}.{block}"
+
+
+def test_krylov_traces_replay_is_deterministic():
+    """One cycle of the replay tool, twice: the same bytes, one result per operation."""
+    argv = [sys.executable, str(DATA / "replay_krylov_traces.py"), "--seeds", "907", "--cycles", "1"]
+    first, second = (subprocess.run(argv, capture_output=True, check=True).stdout for _ in range(2))
+    assert first == second
+    records = pickle.loads(first)
+    assert [kind for _, _, kind, _ in records] == [
+        "cg_consistent", "cg_inconsistent", "cgls_consistent", "cgls_inconsistent", "cgne"]
+    assert all(seed == 907 and cycle == 0 for seed, cycle, _, _ in records)
+    trace, equivalence, bound = records[0][3]
+    assert trace.stop_reason == "converged" and equivalence.passed and bound.passed

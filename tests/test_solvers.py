@@ -272,6 +272,52 @@ class TestSolverConfig:
         assert SolverConfig(max_iters=3).iteration_cap(7) == 3
 
 
+def _true_error(x, reference):
+    return float(np.linalg.norm(x - reference) / np.linalg.norm(reference))
+
+
+def _right_or_not_converged(trace, reference):
+    return trace.stop_reason != "converged" or _true_error(trace.x, reference) <= 1e-6
+
+
+class TestScaleInvariance:
+    """A run must give the right answer, or not report converged, whatever the scale.
+
+    Today the stop tests and the rank cut take their tolerances relative to
+    max(size, 1), not to the size, so each of these runs reports a wrong answer
+    as converged, or never stops. They are strict xfails: they must keep
+    failing until those rules are scale-invariant, and then pass as they are.
+    """
+
+    @pytest.mark.xfail(strict=True, reason="rank cut and cg stop test are floored at 1: "
+                       "at c = 1e-13, rank 0 and converged after 0 iterations, error 1.0")
+    def test_cg_with_a_and_b_scaled_together(self):
+        spectrum = tuple(np.geomspace(1.0, 1e-2, 20)) + (0.0,) * 20
+        problem = make_problem(ProblemSpec("spsd", (40, 40), spectrum, seed=5))
+        for c in (1.0, 1e-13):
+            a, b = c * problem.a, c * problem.b
+            assert _right_or_not_converged(cg_solve(a, b, problem.x0), problem.xstar_reference), c
+            assert symmetric_eig(a).rank == 20, c
+
+    @pytest.mark.xfail(strict=True, reason="cg stop test is floored at 1: converged with error "
+                       "8.9e-6 at c = 1e-6, and after 1 iteration with error 0.69 at c = 1e-12")
+    def test_cg_with_only_b_scaled(self):
+        spectrum = tuple(np.geomspace(1.0, 1e-2, 30)) + (0.0,) * 10
+        problem = make_problem(ProblemSpec("spsd", (40, 40), spectrum, seed=2))
+        for c in (1.0, 1e-6, 1e-12):
+            trace = cg_solve(problem.a, c * problem.b, problem.x0)
+            assert _right_or_not_converged(trace, c * problem.xstar_reference), c
+
+    @pytest.mark.xfail(strict=True, reason="cgls stop test is below what ||A^T r|| can reach: "
+                       "max_iters at the cap of 2000, error 1.2e-7")
+    def test_cgls_stops_before_the_cap(self):
+        spectrum = tuple(np.geomspace(1.0, 1e-3, 160)) + (0.0,) * 40
+        problem = make_problem(ProblemSpec("rectangular", (220, 200), spectrum, seed=3))
+        trace = cgls_solve(problem.a, problem.b, problem.x0, SolverConfig(record_trace=False))
+        assert _right_or_not_converged(trace, problem.xstar_reference)
+        assert trace.iterations < SolverConfig().iteration_cap(200)
+
+
 def textbook_cg(apply, x, r, cap, stop, breakdown_tol=1e-14):
     """CG as it reads in the textbook, with ``@`` and ``np.sqrt``, keeping every state."""
     p, rr = r, float(r @ r)
