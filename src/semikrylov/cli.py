@@ -27,7 +27,8 @@ import numpy as np
 from .bounds import cg_bound_verify, cgls_bound_verify, cgne_bound_verify
 from .decomposition import decomposed_cg_run, equivalence_check, null_direction_confinement
 from .genmat import ProblemSpec, make_problem
-from .linalg import DEFAULT_RANK_TOL, ConvergenceError, _check_tolerance, _scale, svd, symmetric_eig
+from .linalg import (DEFAULT_RANK_TOL, ConvergenceError, _check_tolerance, _scale, _sized, svd,
+                     symmetric_eig)
 from .mmio import load_matrix_market, write_matrix_market
 from .oracle import consistency_check, pinv_apply_rect, pseudoinverse_apply
 from .report import RunReport, trace_csv_text, write_text_atomic
@@ -59,10 +60,7 @@ def _x0_from_flag(flag: str, length: int) -> np.ndarray:
     if flag == "zero":
         return np.zeros(length)
     if flag.startswith("file:"):
-        vec = _load_vector(flag[len("file:") :])
-        if vec.shape[0] != length:
-            raise ValueError(f"initial guess has length {vec.shape[0]}, expected {length}")
-        return vec
+        return _sized(_load_vector(flag[len("file:") :]), length, "initial guess")
     raise ValueError(f"--x0 must be 'zero' or 'file:<path>', got {flag!r}")
 
 
@@ -100,11 +98,6 @@ def _relative_distance(x: np.ndarray, reference: np.ndarray) -> float:
     return float(dist) / _scale(np.linalg.norm(reference))
 
 
-def _run_method(method, a, b, start, cfg):
-    # looked up per call, so a solver replaced on this module (by a tracer, say) is the one run
-    return {"cg": cg_solve, "cgls": cgls_solve, "cgne": cgne_solve}[method](a, b, start, cfg)
-
-
 def _spectral_pipeline(method, a, rank_tol):
     """Decomposition, spectral summary, and residual-space bases."""
     if method == "cg":
@@ -118,6 +111,15 @@ def _spectral_pipeline(method, a, rank_tol):
         first, last = float(values[0]), float(values[-1])
         summary = dict(zip(names, (first, last, first / last)))
     return dec, summary, *bases
+
+
+def _run(args, a, b, start):
+    """The spectral step of --method on a, then the solver from start: (spectral, trace)."""
+    cfg = SolverConfig(max_iters=args.max_iters, rel_tol=args.rel_tol)
+    spectral = _spectral_pipeline(args.method, a, args.rank_tol)
+    # looked up per call, so a solver replaced on this module (by a tracer, say) is the one run
+    solver = {"cg": cg_solve, "cgls": cgls_solve, "cgne": cgne_solve}[args.method]
+    return spectral, solver(a, b, start, cfg)
 
 
 def _finish(args, command, method, dims, spectral, trace, checks, **fields) -> int:
@@ -162,13 +164,10 @@ def _finish(args, command, method, dims, spectral, trace, checks, **fields) -> i
 def _cmd_solve(args) -> int:
     a = _load_matrix(args.matrix)
     b = _load_vector(args.rhs)
-    cfg = SolverConfig(max_iters=args.max_iters, rel_tol=args.rel_tol)
     m, n = a.shape
     start = _x0_from_flag(args.x0, m if args.method == "cgne" else n)
-
-    spectral = _spectral_pipeline(args.method, a, args.rank_tol)
+    spectral, trace = _run(args, a, b, start)
     dec, basis2 = spectral[0], spectral[3]
-    trace = _run_method(args.method, a, b, start, cfg)
 
     if args.method == "cg":
         xdag = pseudoinverse_apply(dec, b)
@@ -196,6 +195,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     _check_tolerance("--tol", args.tol)
+    if args.iters < 1:
+        raise ValueError(f"--iters must be at least 1, got {args.iters}")
     a = _load_matrix(args.matrix)
     b = _load_vector(args.rhs)
     x0 = _x0_from_flag(args.x0, a.shape[0])
@@ -239,12 +240,9 @@ def _cmd_verify_bounds(args) -> int:
     spec, problem = _load_problem(args)
     a, b = problem.a, problem.b
     m, n = a.shape
-    cfg = SolverConfig(max_iters=args.max_iters, rel_tol=args.rel_tol)
-
-    spectral = _spectral_pipeline(args.method, a, args.rank_tol)
-    dec = spectral[0]
     start = problem.x0 if args.method != "cgne" else np.zeros(m)
-    trace = _run_method(args.method, a, b, start, cfg)
+    spectral, trace = _run(args, a, b, start)
+    dec = spectral[0]
 
     if args.method == "cg":
         bound_report = cg_bound_verify(trace, dec)

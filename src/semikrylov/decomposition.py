@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SpectralDecomposition, _scale, as_vector
+from .linalg import SpectralDecomposition, _scale, _sized
 from .oracle import split
-from .solvers import BREAKDOWN, SolveTrace, _cg_recurrence
+from .solvers import BREAKDOWN, SolverConfig, SolveTrace, _cg_recurrence
 
 COMPLETED = "completed"
 
@@ -59,9 +59,8 @@ class DecomposedTrace:
         return len(self.alphas)
 
 
-def decomposed_cg_run(
-    decomp: SpectralDecomposition, b, x0, iters: int, breakdown_tol: float = 1e-14
-) -> DecomposedTrace:
+def decomposed_cg_run(decomp: SpectralDecomposition, b, x0, iters: int,
+                      breakdown_tol: float = SolverConfig.breakdown_tol) -> DecomposedTrace:
     """Run ``iters`` iterations of CG in eigenbasis coordinates.
 
     This is the plain recurrence applied to the diagonal operator
@@ -72,12 +71,10 @@ def decomposed_cg_run(
     as the plain solver would; the trace then records the iterations
     completed up to that point.
     """
-    b = as_vector(b)
-    x0 = as_vector(x0)
+    b = _sized(b, decomp.dim, "right-hand side")
+    x0 = _sized(x0, decomp.dim, "initial guess")
     if iters < 0:
         raise ValueError("iters must be nonnegative")
-    if b.shape[0] != decomp.dim or x0.shape[0] != decomp.dim:
-        raise ValueError("right-hand side and initial guess must match the decomposition dimension")
 
     rank = decomp.rank
     lam_full = np.concatenate([decomp.lambdas_r, np.zeros(decomp.dim - rank)])

@@ -64,16 +64,27 @@ def check_symmetric(a: np.ndarray) -> None:
         raise ValueError("matrix is not symmetric within tolerance")
 
 
+def _sized(v, length: int, what: str) -> np.ndarray:
+    """``as_vector(v)``, after checking that it has ``length`` entries; ``what`` names v."""
+    v = as_vector(v)
+    if v.shape[0] != length:
+        raise ValueError(f"{what} has length {v.shape[0]}, expected {length}")
+    return v
+
+
+def _symmetric(a) -> np.ndarray:
+    """``as_matrix(a)``, after checking that it is square and symmetric."""
+    a = as_matrix(a)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got {a.shape[0]}x{a.shape[1]}")
+    check_symmetric(a)
+    return a
+
+
 def matvec(a, x) -> np.ndarray:
     """Dense matrix-vector product y = A x."""
     a = as_matrix(a)
-    x = as_vector(x)
-    if a.shape[1] != x.shape[0]:
-        raise ValueError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} matrix with "
-            f"length-{x.shape[0]} vector"
-        )
-    return a @ x
+    return a @ _sized(x, a.shape[1], "vector")
 
 
 @dataclass(frozen=True)
@@ -180,12 +191,8 @@ def symmetric_eig(a, rank_tol: float = DEFAULT_RANK_TOL) -> SpectralDecompositio
     ConvergenceError
         If LAPACK reports that the eigensolver did not converge.
     """
-    a = as_matrix(a)
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise ValueError(f"matrix must be square, got {a.shape[0]}x{a.shape[1]}")
+    a = _symmetric(a)
     _check_tolerance("rank_tol", rank_tol)
-    check_symmetric(a)
 
     try:
         lambdas, vecs = np.linalg.eigh(0.5 * (a + a.T))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SingularDecomposition, SpectralDecomposition, _scale, as_vector
+from .linalg import SingularDecomposition, SpectralDecomposition, _scale, _sized
 
 DEFAULT_CONSISTENCY_TOL = 1e-10
 
@@ -24,19 +24,9 @@ class SplitVector:
     null_part: np.ndarray
 
 
-def _checked(decomp: SpectralDecomposition, v) -> np.ndarray:
-    """v as a vector, after checking its length against the decomposition."""
-    v = as_vector(v)
-    if v.shape[0] != decomp.dim:
-        raise ValueError(
-            f"vector length {v.shape[0]} does not match decomposition dimension {decomp.dim}"
-        )
-    return v
-
-
 def split(decomp: SpectralDecomposition, v) -> SplitVector:
     """Split v into range coordinates Q1^T v and null coordinates Q2^T v."""
-    v = _checked(decomp, v)
+    v = _sized(v, decomp.dim, "vector")
     return SplitVector(decomp.q1.T @ v, decomp.q2.T @ v)
 
 
@@ -51,8 +41,7 @@ def pseudoinverse_apply(decomp: SpectralDecomposition, b) -> np.ndarray:
     Inverts eigenvalue-wise on the numerical range only; the null component
     of b is annihilated, so the result always lies in range(A).
     """
-    b = _checked(decomp, b)
-    b1 = decomp.q1.T @ b
+    b1 = decomp.q1.T @ _sized(b, decomp.dim, "right-hand side")
     return decomp.q1 @ (b1 / decomp.lambdas_r)
 
 
@@ -64,11 +53,7 @@ def pseudoinverse_matrix(decomp: SpectralDecomposition) -> np.ndarray:
 
 def pinv_apply_rect(sdec: SingularDecomposition, b) -> np.ndarray:
     """Minimum-norm least squares solution V1 Sigma_r^{-1} U1^T b."""
-    b = as_vector(b)
-    m = sdec.shape[0]
-    if b.shape[0] != m:
-        raise ValueError(f"vector length {b.shape[0]} does not match matrix rows {m}")
-    t = sdec.u1.T @ b
+    t = sdec.u1.T @ _sized(b, sdec.shape[0], "right-hand side")
     return sdec.v1 @ (t / sdec.sigmas_r)
 
 
@@ -86,7 +71,7 @@ def consistency_check(
     null_norm is ||Q2^T b||; the system counts as consistent when it does not
     exceed tol * max(||b||, 1).
     """
-    return _consistency(decomp.q2, _checked(decomp, b), tol)
+    return _consistency(decomp.q2, _sized(b, decomp.dim, "right-hand side"), tol)
 
 
 def _consistency(

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import _check_tolerance, _scale, as_matrix, as_vector, check_symmetric
+from .linalg import _check_tolerance, _scale, _sized, _symmetric, as_matrix
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
@@ -178,17 +178,9 @@ def cg_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
         (A p_i, p_i) falls to breakdown_tol * ||p_i||^2 or below.
     """
     cfg = cfg or SolverConfig()
-    a = as_matrix(a)
-    b = as_vector(b)
-    x0 = as_vector(x0)
+    a = _symmetric(a)
     n = a.shape[0]
-    if a.shape[1] != n:
-        raise ValueError(f"matrix must be square, got {a.shape[0]}x{a.shape[1]}")
-    check_symmetric(a)
-    if b.shape[0] != n or x0.shape[0] != n:
-        raise ValueError("right-hand side and initial guess must match the matrix dimension")
-
-    return _cg_from(a.dot, b, x0, cfg)
+    return _cg_from(a.dot, _sized(b, n, "right-hand side"), _sized(x0, n, "initial guess"), cfg)
 
 
 def cgls_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
@@ -201,13 +193,9 @@ def cgls_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
     """
     cfg = cfg or SolverConfig()
     a = as_matrix(a)
-    b = as_vector(b)
-    x0 = as_vector(x0)
     m, n = a.shape
-    if b.shape[0] != m:
-        raise ValueError(f"right-hand side length {b.shape[0]} does not match {m} rows")
-    if x0.shape[0] != n:
-        raise ValueError(f"initial guess length {x0.shape[0]} does not match {n} columns")
+    b = _sized(b, m, "right-hand side")
+    x0 = _sized(x0, n, "initial guess")
 
     cap = cfg.iteration_cap(n)
     stop = (cfg.rel_tol * _scale(np.linalg.norm(a.T @ b))) ** 2
@@ -271,14 +259,9 @@ def cgne_solve(a, b, y0, cfg: SolverConfig | None = None) -> SolveTrace:
     """
     cfg = cfg or SolverConfig()
     a = as_matrix(a)
-    b = as_vector(b)
-    y0 = as_vector(y0)
-    m, n = a.shape
-    if b.shape[0] != m:
-        raise ValueError(f"right-hand side length {b.shape[0]} does not match {m} rows")
-    if y0.shape[0] != m:
-        raise ValueError(f"initial guess length {y0.shape[0]} does not match {m} rows")
-
+    m = a.shape[0]
+    b = _sized(b, m, "right-hand side")
+    y0 = _sized(y0, m, "initial guess")
     at = a.T
     run = _cg_from(lambda p: a.dot(at.dot(p)), b, y0, cfg)
     y, ys = run.x, run.iterates

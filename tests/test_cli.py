@@ -173,6 +173,21 @@ def test_tolerance_must_be_finite_and_positive(spsd_problem, capsys, command, fl
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.xfail(strict=True, reason="matches_oracle divides by max(norm(x_expected), 1): with "
+                   "norm(x_expected) = 5.7e-7 it reports 2.9e-7 for a true relative error of 0.51")
+def test_matches_oracle_with_a_small_solution(tmp_path):
+    spectrum = tuple(np.geomspace(1.0, 1e-2, 30)) + (0.0,) * 10
+    problem = make_problem(ProblemSpec("spsd", (40, 40), spectrum, seed=2))
+    save_matrix_market(tmp_path / "a.mtx", problem.a)
+    save_matrix_market(tmp_path / "b.mtx", 1e-7 * problem.b.reshape(-1, 1))
+    out = tmp_path / "report.json"
+    assert run_command([
+        "solve", "--method", "cg", "--matrix", str(tmp_path / "a.mtx"),
+        "--rhs", str(tmp_path / "b.mtx"), "--max-iters", "3", "--out", str(out),
+    ]) == 1
+    assert not RunReport.from_json(out.read_text()).checks["matches_oracle"]
+
+
 class TestDiagnoseCommand:
     def test_consistent_system(self, spsd_problem):
         tmp_path, _, _ = spsd_problem
@@ -216,6 +231,12 @@ class TestDiagnoseCommand:
         assert code == 2
         assert "numerical rank is 0 at --rank-tol 10" in capsys.readouterr().err
         assert not (tmp_path / "diag.json").exists()
+
+    @pytest.mark.parametrize("iters", ["0", "-3"])
+    def test_iters_below_one_exits_2_before_any_file_is_read(self, tmp_path, capsys, iters):
+        missing = str(tmp_path / "missing.mtx")
+        assert run_command(["diagnose", "--matrix", missing, "--rhs", missing, "--iters", iters]) == 2
+        assert capsys.readouterr().err == f"error: --iters must be at least 1, got {iters}\n"
 
 
 class TestVerifyBoundsCommand:

@@ -14,7 +14,10 @@ from semikrylov.linalg import (
     svd,
     symmetric_eig,
 )
+from semikrylov.decomposition import decomposed_cg_run
 from semikrylov.mmio import save_matrix_market
+from semikrylov.oracle import consistency_check, pinv_apply_rect, pseudoinverse_apply, split
+from semikrylov.solvers import cg_solve, cgls_solve, cgne_solve
 
 
 class TestValidation:
@@ -252,3 +255,45 @@ def test_graded_spectrum_rank_cut(kind, dims):
         rank, smallest = sd.rank, sd.sigmas_r[-1]
     assert rank == _GRADED_RANK
     np.testing.assert_allclose(smallest, _GRADED_VALUES[-1], rtol=1e-6)
+
+
+_EIG = symmetric_eig(np.diag([2.0, 1.0, 0.0]))
+_TALL = np.arange(12.0).reshape(4, 3)
+
+# every entry point that takes A, b or a start states its shape rule in one of two messages
+SHAPE_CASES = {
+    "cg_solve b": (lambda: cg_solve(np.eye(3), np.ones(2), np.zeros(3)),
+                   "right-hand side has length 2, expected 3"),
+    "cg_solve x0": (lambda: cg_solve(np.eye(3), np.ones(3), np.zeros(4)),
+                    "initial guess has length 4, expected 3"),
+    "cgls_solve b": (lambda: cgls_solve(_TALL, np.ones(3), np.zeros(3)),
+                     "right-hand side has length 3, expected 4"),
+    "cgls_solve x0": (lambda: cgls_solve(_TALL, np.ones(4), np.zeros(4)),
+                      "initial guess has length 4, expected 3"),
+    "cgne_solve b": (lambda: cgne_solve(_TALL.T, np.ones(4), np.zeros(3)),
+                     "right-hand side has length 4, expected 3"),
+    "cgne_solve y0": (lambda: cgne_solve(_TALL.T, np.ones(3), np.zeros(4)),
+                      "initial guess has length 4, expected 3"),
+    "decomposed_cg_run b": (lambda: decomposed_cg_run(_EIG, np.ones(2), np.zeros(3), 2),
+                            "right-hand side has length 2, expected 3"),
+    "decomposed_cg_run x0": (lambda: decomposed_cg_run(_EIG, np.ones(3), np.zeros(4), 2),
+                             "initial guess has length 4, expected 3"),
+    "split": (lambda: split(_EIG, np.ones(2)), "vector has length 2, expected 3"),
+    "pseudoinverse_apply": (lambda: pseudoinverse_apply(_EIG, np.ones(4)),
+                            "right-hand side has length 4, expected 3"),
+    "consistency_check": (lambda: consistency_check(_EIG, np.ones(2)),
+                          "right-hand side has length 2, expected 3"),
+    "pinv_apply_rect": (lambda: pinv_apply_rect(svd(_TALL), np.ones(3)),
+                        "right-hand side has length 3, expected 4"),
+    "matvec": (lambda: matvec(_TALL, np.ones(4)), "vector has length 4, expected 3"),
+    "cg_solve square": (lambda: cg_solve(_TALL, np.ones(4), np.zeros(3)),
+                        "matrix must be square, got 4x3"),
+    "symmetric_eig square": (lambda: symmetric_eig(_TALL), "matrix must be square, got 4x3"),
+}
+
+
+@pytest.mark.parametrize("call, message", SHAPE_CASES.values(), ids=SHAPE_CASES.keys())
+def test_shape_rule_at_every_entry_point(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
