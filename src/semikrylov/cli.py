@@ -1,12 +1,14 @@
 """Command-line surface: solve, diagnose, verify-bounds, generate.
 
-Exit codes: 0 when every check in the run passed, 1 when a check failed,
-2 on usage, parse, or input errors, a malformed spec file included. Every
-command ends in one report step: the JSON report is written atomically to
---out (or printed to stdout without it), and the optional --trace-csv trace
-reads each column from the report array of the same name. The environment
-variable SEMIKRYLOV_SEED overrides the seed of a problem spec file; an
-explicit --seed flag overrides both.
+A report command (solve, diagnose, verify-bounds) runs four steps. It
+decomposes A: the eigendecomposition for cg, which first checks that A is
+square and symmetric, and the SVD otherwise. It then reads the start vector
+and runs the solver. Last, it writes the JSON report atomically to --out (or
+to stdout without it), and the optional --trace-csv trace reads each column
+from the report array of the same name. Exit codes: 0 when every check in
+the run passed, 1 when a check failed, 2 on usage, parse, or input errors, a
+malformed spec file included. SEMIKRYLOV_SEED overrides the seed of a
+problem spec file; an explicit --seed flag overrides both.
 
 run_command may be called repeatedly in one process. The calls share one
 parser, built on the first call, and each call reads the environment
@@ -37,10 +39,6 @@ from .solvers import SolverConfig, cg_solve, cgls_solve, cgne_solve
 SEED_ENV = "SEMIKRYLOV_SEED"
 ORACLE_MATCH_TOL = 1e-6
 DIAGNOSE_TOL = 1e-8
-
-
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
 
 
 def _load_matrix(path) -> np.ndarray:
@@ -98,39 +96,36 @@ def _relative_distance(x: np.ndarray, reference: np.ndarray) -> float:
     return float(dist) / _scale(np.linalg.norm(reference))
 
 
-def _spectral_pipeline(method, a, rank_tol):
-    """Decomposition, spectral summary, and residual-space bases."""
+def _decompose(method, a, rank_tol):
+    """The oracle of --method: the eigendecomposition for cg (square and symmetric), else the SVD."""
+    return symmetric_eig(a, rank_tol) if method == "cg" else svd(a, rank_tol)
+
+
+def _solve(args, a, b, start):
+    """Run --method on a and b from start, within --max-iters and --rel-tol."""
+    # looked up per call, so a solver replaced on this module (by a tracer, say) is the one run
+    solver = {"cg": cg_solve, "cgls": cgls_solve, "cgne": cgne_solve}[args.method]
+    return solver(a, b, start, SolverConfig(max_iters=args.max_iters, rel_tol=args.rel_tol))
+
+
+def _finish(args, command, method, dec, trace, checks, **fields) -> int:
+    """Build the report, write it (and the CSV trace) and return the exit code.
+
+    The dims, rank, spectral summary and residual bases come from ``dec``, the
+    oracle of ``method``; ``fields`` are the command's own report fields. Each
+    CSV column is read from the report array of the same name, so the CSV and
+    the JSON cannot disagree.
+    """
     if method == "cg":
-        dec = symmetric_eig(a, rank_tol)
-        values, names, bases = dec.lambdas_r, ("lambda_1", "lambda_r", "kappa"), (dec.q1, dec.q2)
+        dims, values, names = (dec.dim, dec.dim), dec.lambdas_r, ("lambda_1", "lambda_r", "kappa")
+        basis1, basis2 = dec.q1, dec.q2
     else:
-        dec = svd(a, rank_tol)
-        values, names, bases = dec.sigmas_r, ("sigma_1", "sigma_r", "sigma_ratio"), (dec.u1, dec.u2)
+        dims, values, names = dec.shape, dec.sigmas_r, ("sigma_1", "sigma_r", "sigma_ratio")
+        basis1, basis2 = dec.u1, dec.u2
     summary = {}
     if dec.rank > 0:
         first, last = float(values[0]), float(values[-1])
         summary = dict(zip(names, (first, last, first / last)))
-    return dec, summary, *bases
-
-
-def _run(args, a, b, start):
-    """The spectral step of --method on a, then the solver from start: (spectral, trace)."""
-    cfg = SolverConfig(max_iters=args.max_iters, rel_tol=args.rel_tol)
-    spectral = _spectral_pipeline(args.method, a, args.rank_tol)
-    # looked up per call, so a solver replaced on this module (by a tracer, say) is the one run
-    solver = {"cg": cg_solve, "cgls": cgls_solve, "cgne": cgne_solve}[args.method]
-    return spectral, solver(a, b, start, cfg)
-
-
-def _finish(args, command, method, dims, spectral, trace, checks, **fields) -> int:
-    """Build the report, write it (and the CSV trace) and return the exit code.
-
-    ``fields`` are the command's own report fields (final_distances,
-    measured, bound, contraction_factor, diagnostics); the rest come from
-    the trace and the spectral step. Each CSV column is read from the report
-    array of the matching name, so the CSV and the JSON cannot disagree.
-    """
-    dec, summary, basis1, basis2 = spectral
     passed = all(checks.values())
     report = RunReport(
         command=command,
@@ -148,7 +143,7 @@ def _finish(args, command, method, dims, spectral, trace, checks, **fields) -> i
         null_res_norms=np.linalg.norm(trace.residuals @ basis2, axis=1).tolist(),
         checks=checks,
         passed=passed,
-        timestamp=_timestamp(),
+        timestamp=datetime.now(timezone.utc).isoformat(),
         **(dict.fromkeys(("measured", "bound", "contraction_factor", "final_distances")) | fields),
     )
     text = report.to_json()
@@ -164,20 +159,16 @@ def _finish(args, command, method, dims, spectral, trace, checks, **fields) -> i
 def _cmd_solve(args) -> int:
     a = _load_matrix(args.matrix)
     b = _load_vector(args.rhs)
-    m, n = a.shape
-    start = _x0_from_flag(args.x0, m if args.method == "cgne" else n)
-    spectral, trace = _run(args, a, b, start)
-    dec, basis2 = spectral[0], spectral[3]
+    dec = _decompose(args.method, a, args.rank_tol)
+    start = _x0_from_flag(args.x0, a.shape[0] if args.method == "cgne" else a.shape[1])
+    trace = _solve(args, a, b, start)
 
     if args.method == "cg":
-        xdag = pseudoinverse_apply(dec, b)
+        xdag, basis2 = pseudoinverse_apply(dec, b), dec.q2
         expected = xdag + dec.q2 @ (dec.q2.T @ start)
     else:
-        xdag = pinv_apply_rect(dec, b)
-        if args.method == "cgls":
-            expected = xdag + (start - dec.v1 @ (dec.v1.T @ start))
-        else:
-            expected = xdag
+        xdag, basis2 = pinv_apply_rect(dec, b), dec.u2
+        expected = xdag + (start - dec.v1 @ (dec.v1.T @ start)) if args.method == "cgls" else xdag
 
     dist_expected = _relative_distance(trace.x, expected)
     checks = {
@@ -189,8 +180,7 @@ def _cmd_solve(args) -> int:
         "expected": dist_expected,
         "rhs_null_norm": float(np.linalg.norm(basis2.T @ b)),
     }
-    return _finish(args, "solve", args.method, (m, n), spectral, trace, checks,
-                   final_distances=distances)
+    return _finish(args, "solve", args.method, dec, trace, checks, final_distances=distances)
 
 
 def _cmd_diagnose(args) -> int:
@@ -199,11 +189,10 @@ def _cmd_diagnose(args) -> int:
         raise ValueError(f"--iters must be at least 1, got {args.iters}")
     a = _load_matrix(args.matrix)
     b = _load_vector(args.rhs)
-    x0 = _x0_from_flag(args.x0, a.shape[0])
-    spectral = _spectral_pipeline("cg", a, args.rank_tol)
-    decomp = spectral[0]
+    decomp = _decompose("cg", a, args.rank_tol)
     if decomp.rank == 0:
         raise ValueError(f"numerical rank is 0 at --rank-tol {args.rank_tol}: nothing to compare")
+    x0 = _x0_from_flag(args.x0, decomp.dim)
     trace = cg_solve(a, b, x0, SolverConfig(max_iters=args.iters))
     dtrace = decomposed_cg_run(decomp, b, x0, args.iters)
     equivalence = equivalence_check(trace, dtrace, decomp, args.tol)
@@ -232,27 +221,22 @@ def _cmd_diagnose(args) -> int:
         checks["null_residual_constant"] = residual_drift <= args.tol
         diagnostics["max_null_residual_drift"] = residual_drift
 
-    return _finish(args, "diagnose", "cg", a.shape, spectral, trace, checks,
-                   diagnostics=diagnostics)
+    return _finish(args, "diagnose", "cg", decomp, trace, checks, diagnostics=diagnostics)
 
 
 def _cmd_verify_bounds(args) -> int:
     spec, problem = _load_problem(args)
-    a, b = problem.a, problem.b
-    m, n = a.shape
-    start = problem.x0 if args.method != "cgne" else np.zeros(m)
-    spectral, trace = _run(args, a, b, start)
-    dec = spectral[0]
+    dec = _decompose(args.method, problem.a, args.rank_tol)
+    start = problem.x0 if args.method != "cgne" else np.zeros(problem.a.shape[0])
+    trace = _solve(args, problem.a, problem.b, start)
 
-    if args.method == "cg":
-        bound_report = cg_bound_verify(trace, dec)
-    elif args.method == "cgls":
-        bound_report = cgls_bound_verify(trace, dec, pinv_apply_rect(dec, b))
-    else:
-        bound_report = cgne_bound_verify(trace, dec)
+    # looked up per call, as in _solve; only the cgls bound needs the minimum-norm solution
+    verify = {"cg": cg_bound_verify, "cgls": cgls_bound_verify, "cgne": cgne_bound_verify}
+    extra = (pinv_apply_rect(dec, problem.b),) if args.method == "cgls" else ()
+    bound_report = verify[args.method](trace, dec, *extra)
 
     return _finish(
-        args, "verify-bounds", args.method, (m, n), spectral, trace,
+        args, "verify-bounds", args.method, dec, trace,
         {"bound_holds": bound_report.passed},
         measured=list(bound_report.measured),
         bound=list(bound_report.bound),
@@ -283,6 +267,40 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+# every flag once: its argparse keywords
+_FLAGS = {
+    "--method": dict(required=True, choices=["cg", "cgls", "cgne"]),
+    "--matrix": dict(required=True, help="Matrix Market file for A"),
+    "--rhs": dict(required=True, help="Matrix Market n x 1 file for b"),
+    "--x0": dict(default="zero", help="'zero' or 'file:<path>' (y0 for cgne)"),
+    "--spec": dict(required=True, help="problem spec JSON path"),
+    "--seed": dict(type=int, help="override the spec seed"),
+    "--iters": dict(type=int, required=True, help="iterations to run and compare"),
+    "--tol": dict(type=float, default=DIAGNOSE_TOL, help="structural tolerance"),
+    "--max-iters": dict(type=int, help="iteration cap"),
+    "--rel-tol": dict(type=float, default=SolverConfig.rel_tol, help="relative stopping tolerance"),
+    "--rank-tol": dict(type=float, default=DEFAULT_RANK_TOL,
+                       help="relative threshold for the numerical rank cut"),
+    "--out": dict(help="JSON report path (stdout when omitted)"),
+    "--trace-csv": dict(help="per-iteration CSV trace path"),
+    "--out-dir": dict(required=True, help="directory for the emitted files"),
+}
+
+# (subcommand, handler, help, its flags in usage order)
+_COMMANDS = (
+    ("solve", _cmd_solve, "run one method and compare against the oracle solution",
+     "--method --matrix --rhs --x0 --max-iters --rel-tol --rank-tol --out --trace-csv"),
+    ("diagnose", _cmd_diagnose,
+     "compare plain CG with the transformed recurrence and check structure",
+     "--matrix --rhs --x0 --iters --tol --rank-tol --out"),
+    ("verify-bounds", _cmd_verify_bounds,
+     "generate a seeded problem, run a method, verify its bound",
+     "--method --spec --seed --max-iters --rel-tol --rank-tol --out --trace-csv"),
+    ("generate", _cmd_generate, "emit .mtx files and the spec for a seeded problem",
+     "--spec --seed --out-dir"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semikrylov",
@@ -290,54 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
         "rank-deficient least squares",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_numeric(p, with_iters=True):
-        if with_iters:
-            p.add_argument("--max-iters", type=int, help="iteration cap")
-            p.add_argument("--rel-tol", type=float, default=SolverConfig.rel_tol,
-                           help="relative stopping tolerance")
-        p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL,
-                       help="relative threshold for the numerical rank cut")
-
-    solve = sub.add_parser("solve", help="run one method and compare against the oracle solution")
-    solve.add_argument("--method", required=True, choices=["cg", "cgls", "cgne"])
-    solve.add_argument("--matrix", required=True, help="Matrix Market file for A")
-    solve.add_argument("--rhs", required=True, help="Matrix Market n x 1 file for b")
-    solve.add_argument("--x0", default="zero", help="'zero' or 'file:<path>' (y0 for cgne)")
-    add_numeric(solve)
-    solve.add_argument("--out", help="JSON report path (stdout when omitted)")
-    solve.add_argument("--trace-csv", help="per-iteration CSV trace path")
-    solve.set_defaults(func=_cmd_solve)
-
-    diagnose = sub.add_parser(
-        "diagnose", help="compare plain CG with the transformed recurrence and check structure"
-    )
-    diagnose.add_argument("--matrix", required=True)
-    diagnose.add_argument("--rhs", required=True)
-    diagnose.add_argument("--x0", default="zero")
-    diagnose.add_argument("--iters", type=int, required=True, help="iterations to run and compare")
-    diagnose.add_argument("--tol", type=float, default=DIAGNOSE_TOL, help="structural tolerance")
-    add_numeric(diagnose, with_iters=False)
-    diagnose.add_argument("--out", help="JSON report path (stdout when omitted)")
-    diagnose.set_defaults(func=_cmd_diagnose)
-
-    verify = sub.add_parser(
-        "verify-bounds", help="generate a seeded problem, run a method, verify its bound"
-    )
-    verify.add_argument("--method", required=True, choices=["cg", "cgls", "cgne"])
-    verify.add_argument("--spec", required=True, help="problem spec JSON path")
-    verify.add_argument("--seed", type=int, default=None, help="override the spec seed")
-    add_numeric(verify)
-    verify.add_argument("--out", help="JSON report path (stdout when omitted)")
-    verify.add_argument("--trace-csv", help="per-iteration CSV trace path")
-    verify.set_defaults(func=_cmd_verify_bounds)
-
-    generate = sub.add_parser("generate", help="emit .mtx files and the spec for a seeded problem")
-    generate.add_argument("--spec", required=True, help="problem spec JSON path")
-    generate.add_argument("--seed", type=int, default=None, help="override the spec seed")
-    generate.add_argument("--out-dir", required=True, help="directory for the emitted files")
-    generate.set_defaults(func=_cmd_generate)
-
+    for name, handler, summary, flags in _COMMANDS:
+        command = sub.add_parser(name, help=summary)
+        for flag in flags.split():
+            command.add_argument(flag, **_FLAGS[flag])
+        command.set_defaults(func=handler)
     return parser
 
 

@@ -145,7 +145,7 @@ def equivalence_check(
     checked and scalars 0..K-1, so every referenced state is healthy
     (beta_i looks one state ahead). Vector blocks deviate by
     ||difference|| / max(||plain block||, 1); scalars relative to the
-    larger magnitude. Raises if no iteration is comparable at all.
+    larger magnitude. Raises when the plain run leaves nothing to compare.
     """
     if trace.method != "cg":
         raise ValueError("equivalence_check expects a plain cg trace")
@@ -156,7 +156,9 @@ def equivalence_check(
     healthy = _healthy_states(trace, dtrace)
     iterations = min(healthy - 1, n_scalars) if healthy > 0 else 0
     if iterations <= 0:
-        raise ValueError("no comparable iterations before the rounding horizon")
+        cause = (f"it stopped at iteration 0 ({trace.stop_reason})" if len(trace.alphas) == 0
+                 else f"its range residual is at rounding level by iteration {healthy}")
+        raise ValueError(f"the plain run left nothing to compare: {cause}")
 
     k, states = iterations, iterations + 1
     devs = [_scalar_devs(trace.alphas[:k] + trace.betas[:k], dtrace.alphas[:k] + dtrace.betas[:k])]

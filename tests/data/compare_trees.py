@@ -1,0 +1,112 @@
+"""Compare what two checkouts of semikrylov print and compute, artifact by artifact.
+
+Run from anywhere with ``python tests/data/compare_trees.py PARENT CHANGE
+--seeds 907 11 4242 --cycles 12``. Each artifact is made once per tree, in a
+process that imports that tree's ``src``; the two processes run side by side.
+
+- ``golden``: this checkout's ``make_golden_reports.py``, every CLI case;
+- ``replay``: this checkout's ``replay_krylov_traces.py --tree TREE``, which
+  runs that tree's ``krylov_traces`` workload for ``--cycles`` cycles per seed;
+- ``help <command>``: ``semikrylov <command> -h`` for each of the four
+  commands, at 80 columns.
+
+One line per artifact reads ``<artifact>: equal`` or ``<artifact>: differs``.
+A golden difference names the cases that differ, and a help difference is
+shown as a diff. The exit code is 0 when everything is equal, 1 when anything
+differs, and 2 when a tree fails to run.
+"""
+
+import argparse
+import difflib
+import filecmp
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+COMMANDS = ("solve", "diagnose", "verify-bounds", "generate")
+# prints {command: the text of "semikrylov <command> -h"} as JSON
+HELP = """import contextlib, io, json, sys
+from semikrylov.cli import run_command
+texts = {}
+for command in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        run_command([command, "-h"])
+    texts[command] = text.getvalue()
+print(json.dumps(texts))
+"""
+
+
+def _run_both(name, trees, outs, argv, stdout=True):
+    """Run ``python argv`` once per tree, at the same time, and wait for both.
+
+    ``{tree}`` and ``{out}`` in argv stand for the tree and its output file;
+    with ``stdout`` the process's standard output is that file.
+    """
+    procs = []
+    for tree, out in zip(trees, outs):
+        args = [arg.replace("{tree}", str(tree)).replace("{out}", str(out)) for arg in argv]
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"), COLUMNS="80")
+        with open(out if stdout else os.devnull, "wb") as sink:
+            procs.append(subprocess.Popen([sys.executable, *args], env=env, stdout=sink))
+    codes = [proc.wait() for proc in procs]
+    for tree, code in zip(trees, codes):
+        if code != 0:
+            raise RuntimeError(f"{name} exited {code} in {tree}")
+
+
+def compare(parent: Path, change: Path, seeds: list[int], cycles: int) -> bool:
+    """Print one line per artifact; True when every artifact is equal."""
+    trees, equal = (parent, change), True
+    with tempfile.TemporaryDirectory() as tmp:
+        def outs(name):
+            return [Path(tmp, f"{name}-{side}") for side in ("parent", "change")]
+
+        _run_both("golden", trees, outs("golden"),
+                  [str(HERE / "make_golden_reports.py"), "{out}"], stdout=False)
+        _run_both("replay", trees, outs("replay"),
+                  [str(HERE / "replay_krylov_traces.py"), "--tree", "{tree}",
+                   "--seeds", *map(str, seeds), "--cycles", str(cycles)])
+        _run_both("help", trees, outs("help"), ["-c", HELP, *COMMANDS])
+
+        for name in ("golden", "replay"):
+            same = filecmp.cmp(*outs(name), shallow=False)
+            equal &= same
+            print(f"{name}: {'equal' if same else 'differs'}")
+            if name == "golden" and not same:
+                old, new = (json.loads(path.read_text()) for path in outs(name))
+                names = [a["name"] for a, b in zip(old, new) if a != b]
+                print("  cases: " + ", ".join(names))
+        old, new = (json.loads(path.read_text()) for path in outs("help"))
+        for command in COMMANDS:
+            same = old[command] == new[command]
+            equal &= same
+            print(f"help {command}: {'equal' if same else 'differs'}")
+            if not same:
+                diff = difflib.unified_diff(old[command].splitlines(), new[command].splitlines(),
+                                            "parent", "change", lineterm="")
+                print("\n".join("  " + line for line in diff))
+    return equal
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="checkout to compare against")
+    parser.add_argument("change", type=Path, help="checkout to compare")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[907, 11, 4242],
+                        help="krylov_traces seeds to replay")
+    parser.add_argument("--cycles", type=int, default=12, help="cycles to replay per seed")
+    args = parser.parse_args(argv)
+    try:
+        equal = compare(args.parent.resolve(), args.change.resolve(), args.seeds, args.cycles)
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0 if equal else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

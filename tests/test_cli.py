@@ -597,3 +597,67 @@ def test_every_traced_cli_name_is_called_through_the_module(tmp_path, monkeypatc
     for name, argv in cases:
         assert golden_script.run_case(tmp_path, argv)["exit"] in (0, 1), name
     assert [name for name, count in calls.items() if count == 0] == []
+
+
+@pytest.mark.parametrize("command, x0_length", [("solve", 16), ("diagnose", 10)])
+def test_matrix_is_checked_before_the_start_vector(tmp_path, capsys, command, x0_length):
+    """A report command decomposes A before it reads --x0, so a 16x10 A is named as the fault.
+
+    The --x0 file has the length the command would expect of a square A (its
+    column count for solve, its row count for diagnose) but not of this one.
+    """
+    save_matrix_market(tmp_path / "a.mtx", np.arange(160.0).reshape(16, 10))
+    save_matrix_market(tmp_path / "b.mtx", np.ones((16, 1)))
+    save_matrix_market(tmp_path / "x0.mtx", np.ones((x0_length, 1)))
+    argv = [command, "--matrix", str(tmp_path / "a.mtx"), "--rhs", str(tmp_path / "b.mtx"),
+            "--x0", f"file:{tmp_path / 'x0.mtx'}"]
+    argv += ["--method", "cg"] if command == "solve" else ["--iters", "4"]
+    assert run_command(argv) == 2
+    assert capsys.readouterr().err == "error: matrix must be square, got 16x10\n"
+
+
+@pytest.mark.parametrize("start, stop_reason", [("xstar", "converged"), ("null_rhs", "breakdown")])
+def test_diagnose_with_nothing_to_compare_names_the_cause(tmp_path, capsys, start, stop_reason):
+    """A start that already solves the system, or a b in the null space, stops the plain run at 0."""
+    assert run_command(["generate", "--spec", str(_spec_file(tmp_path)),
+                        "--out-dir", str(tmp_path / "prob")]) == 0
+    prob = tmp_path / "prob"
+    argv = ["diagnose", "--matrix", str(prob / "a.mtx"), "--iters", "5"]
+    if start == "xstar":
+        argv += ["--rhs", str(prob / "b.mtx"), "--x0", f"file:{prob / 'xstar.mtx'}"]
+    else:
+        null = symmetric_eig(load_matrix_market(prob / "a.mtx")).q2[:, :1]
+        save_matrix_market(tmp_path / "null.mtx", null.copy())
+        argv += ["--rhs", str(tmp_path / "null.mtx")]
+    capsys.readouterr()
+    assert run_command(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: the plain run left nothing to compare: it stopped at iteration 0 ({stop_reason})\n")
+
+
+RANK_0_CASES = [("cg", "spsd"), ("cgls", "tall"), ("cgls", "wide"), ("cgne", "tall"),
+                ("cgne", "wide")]
+
+
+@pytest.mark.parametrize("method, problem", RANK_0_CASES)
+def test_solve_reports_a_rank_cut_that_keeps_nothing(tmp_path, method, problem):
+    """--rank-tol 10 leaves rank 0: no spectral summary, and no residual in the range."""
+    golden_script.write_inputs(tmp_path)
+    out = tmp_path / "report.json"
+    code = run_command(["solve", "--method", method, "--matrix", str(tmp_path / problem / "a.mtx"),
+                        "--rhs", str(tmp_path / problem / "b.mtx"), "--rank-tol", "10",
+                        "--out", str(out)])
+    assert code in (0, 1)
+    report = RunReport.from_json(out.read_text())
+    assert report.rank == 0
+    assert report.spectral_summary == {}
+    assert len(report.range_res_norms) == report.iterations + 1
+    assert set(report.range_res_norms) == {0.0}
+
+
+@pytest.mark.parametrize("method, spec", [("cg", "spsd"), ("cgls", "tall"), ("cgne", "wide")])
+def test_verify_bounds_at_rank_0_exits_2(tmp_path, capsys, method, spec):
+    golden_script.write_inputs(tmp_path)
+    assert run_command(["verify-bounds", "--method", method, "--spec",
+                        str(tmp_path / "specs" / f"{spec}.json"), "--rank-tol", "10"]) == 2
+    assert capsys.readouterr().err == "error: bound undefined for a zero-rank matrix\n"

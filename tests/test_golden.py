@@ -8,6 +8,7 @@ only have to absorb rounding differences between BLAS builds.
 
 import importlib.util
 import pickle
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -91,3 +92,31 @@ def test_krylov_traces_replay_is_deterministic():
     assert all(seed == 907 and cycle == 0 for seed, cycle, _, _ in records)
     trace, equivalence, bound = records[0][3]
     assert trace.stop_reason == "converged" and equivalence.passed and bound.passed
+
+
+def test_compare_trees_finds_a_changed_golden_output(tmp_path):
+    """The checkout against itself, then against a copy whose one changed line alters reports."""
+    root = DATA.parent.parent
+    artifacts = ["golden", "replay", "help solve", "help diagnose", "help verify-bounds",
+                 "help generate"]
+
+    def compare(change):
+        argv = [sys.executable, str(DATA / "compare_trees.py"), str(root), str(change),
+                "--seeds", "907", "--cycles", "1"]
+        done = subprocess.run(argv, capture_output=True, text=True)
+        return done.returncode, done.stdout.splitlines()
+
+    assert compare(root) == (0, [f"{name}: equal" for name in artifacts])
+    copy = tmp_path / "copy"
+    for part in ("src", "bench"):
+        shutil.copytree(root / part, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
+    cli_py = copy / "src" / "semikrylov" / "cli.py"
+    line = "\nORACLE_MATCH_TOL = 1e-6\n"
+    assert cli_py.read_text().count(line) == 1
+    # with a zero tolerance no solve report matches the oracle
+    cli_py.write_text(cli_py.read_text().replace(line, "\nORACLE_MATCH_TOL = 0.0\n"))
+    code, lines = compare(copy)
+    assert code == 1
+    assert lines[0] == "golden: differs"
+    assert lines[1].startswith("  cases: solve_cg, ")
+    assert lines[2:] == [f"{name}: equal" for name in artifacts[1:]]
