@@ -4,10 +4,7 @@
 ``cgls_solve`` runs CG on the first-kind normal equations A^T A x = A^T b
 without ever forming them, for least squares problems. ``cgne_solve`` runs
 CG on the second-kind normal equations A A^T y = b with x = A^T y, for
-minimum-norm solutions of consistent underdetermined systems. All three
-always record the per-iteration scalars (step sizes and residual norms)
-and keep the full vector history, one array row per state, unless trace
-recording is disabled.
+minimum-norm solutions of consistent underdetermined systems.
 
 ``cg_solve``, ``cgne_solve`` and the eigenbasis run of the decomposition
 module share one recurrence, ``_cg_recurrence``, over an operator given as
@@ -18,6 +15,15 @@ On singular systems the curvature denominator (A p, p) can degenerate when
 the right-hand side sticks out of the range; the solvers then stop with
 stop_reason "breakdown" instead of dividing, since that is an expected
 regime rather than a bug.
+
+All three always record the per-iteration scalars (step sizes and residual
+norms) and, unless trace recording is disabled, the vector history: each
+loop writes every residual and direction (and CGLS's s) once, in place,
+into the next row of a history array that doubles when full, and the trace
+holds views trimmed to the states written. No step reads x: the iterates
+are rebuilt after the loop by one ``np.add.accumulate`` over x_0,
+alpha_0 p_0, alpha_1 p_1, ..., bit for bit the textbook x + alpha p. An
+unrecorded run folds a fixed 64-row block into x that way whenever it fills.
 
 At desk scale the loops are bound by numpy dispatch, not flops, so they use
 ``ndarray.dot`` and ``math.sqrt``; the results equal those of ``@`` and
@@ -67,10 +73,10 @@ class SolverConfig:
 class SolveTrace:
     """Complete record of one solver run.
 
-    ``iterates``/``residuals``/``directions`` are 2-D arrays with one row
-    per recorded state (initial state included); ``alphas``/``betas`` hold
-    one entry per completed iteration, so there is always one more state
-    than completed iterations. For cgls, ``normal_residuals`` holds
+    ``iterates``/``residuals``/``directions`` are 2-D arrays, trimmed views
+    with one row per recorded state (initial state included); ``alphas``/
+    ``betas`` hold one entry per completed iteration, so there is always one
+    more state than completed iterations. For cgls, ``normal_residuals`` holds
     s_i = A^T r_i. For cgne, ``iterates`` holds x_i = A^T y_i and
     ``y_iterates`` the underlying y_i; residuals are r_i = b - A A^T y_i.
     With trace recording disabled the vector arrays have zero rows and only
@@ -97,9 +103,44 @@ class SolveTrace:
         return len(self.alphas)
 
 
-def _rows(vectors: list[np.ndarray], n: int) -> np.ndarray:
-    """Stack recorded states into a (states, n) array; (0, n) when none were kept."""
-    return np.reshape(vectors, (-1, n))
+# Rows a history array grows to first; an unrecorded run's arrays never have more.
+_BLOCK = 64
+
+
+def _iterates(x, ps, alphas) -> np.ndarray:
+    """x and the iterates that steps alpha_i p_i reach from it, added in the loop's order."""
+    xs = np.empty((len(ps) + 1, x.shape[0]))
+    xs[0] = x
+    np.multiply(ps, np.reshape(alphas, (-1, 1)), out=xs[1:])
+    return np.add.accumulate(xs, axis=0, out=xs)
+
+
+def _make_room(bufs, x, alphas, cap: int, record: bool):
+    """Free a row after the last of the full history arrays ``bufs`` (directions first).
+
+    Copies them into arrays of _BLOCK rows, then twice as many, never more
+    than the cap + 1 states a run can have; once they have _BLOCK rows, an
+    unrecorded run instead folds their steps into x and moves their last row
+    to row 0. Returns the arrays, x and the row of the current state.
+    """
+    j = len(bufs[0]) - 1
+    if record or j + 1 < _BLOCK:
+        grown = [np.empty((min(max(2 * j + 2, _BLOCK), cap + 1), buf.shape[1])) for buf in bufs]
+        for new, buf in zip(grown, bufs):
+            new[:j + 1] = buf
+        return grown, x, j
+    x = _iterates(x, bufs[0][:j], alphas[len(alphas) - j:])[-1]
+    for buf in bufs:
+        buf[0] = buf[j]
+    return bufs, x, 0
+
+
+def _finish(bufs, x, alphas, j: int, record: bool):
+    """The final x, then the iterate history and ``bufs`` trimmed to the j + 1 states written
+    (to zero rows when unrecorded)."""
+    xs = _iterates(x, bufs[0][:j], alphas[len(alphas) - j:])
+    rows = j + 1 if record else 0
+    return xs[-1].copy(), *(h[:rows] for h in (xs, *bufs))
 
 
 def _cg_recurrence(apply, x, r, cap: int, stop: float, breakdown_tol: float, record: bool):
@@ -107,15 +148,15 @@ def _cg_recurrence(apply, x, r, cap: int, stop: float, breakdown_tol: float, rec
 
     Stops with "converged" once ||r_i|| <= stop, "max_iters" after ``cap``
     iterations, or "breakdown" when (A p_i, p_i) <= breakdown_tol * ||p_i||^2.
-    Returns a SolveTrace labelled "cg". Every update makes new arrays, so
-    the recorded states need no copies.
+    Returns a SolveTrace labelled "cg", its histories written as the module
+    notes describe.
     """
-    p = r
+    P, R = np.array([r]), np.array([r])
+    p, j = r, 0
     rr = float(r.dot(r))
     alphas: list[float] = []
     betas: list[float] = []
     res_norms = [math.sqrt(rr)]
-    xs, rs, ps = ([x], [r], [p]) if record else ([], [], [])
 
     while True:
         if res_norms[-1] <= stop:
@@ -130,32 +171,28 @@ def _cg_recurrence(apply, x, r, cap: int, stop: float, breakdown_tol: float, rec
             stop_reason = BREAKDOWN
             break
         alpha = rr / curvature
-        x = x + alpha * p
-        r = r - alpha * ap
+        if j + 1 == len(P):
+            (P, R), x, j = _make_room((P, R), x, alphas, cap, record)
+        j += 1
+        r = np.subtract(r, alpha * ap, out=R[j])
         rr_next = float(r.dot(r))
         beta = rr_next / rr
-        p = r + beta * p
+        p = np.add(r, beta * p, out=P[j])
         rr = rr_next
 
         alphas.append(alpha)
         betas.append(beta)
         res_norms.append(math.sqrt(rr))
-        if record:
-            xs.append(x)
-            rs.append(r)
-            ps.append(p)
 
-    n = x.shape[0]
-    states = (_rows(xs, n), _rows(rs, n), _rows(ps, n))
-    return SolveTrace("cg", stop_reason, x, alphas, betas, res_norms, *states)
+    x, xs, ps, rs = _finish((P, R), x, alphas, j, record)
+    return SolveTrace("cg", stop_reason, x, alphas, betas, res_norms, xs, rs, ps)
 
 
 def _cg_from(apply, b, start, cfg: SolverConfig) -> SolveTrace:
-    """_cg_recurrence from a copy of start, stopping once ||r_i|| <= rel_tol * max(||b||, 1)."""
-    x = start.copy()
+    """_cg_recurrence from start, stopping once ||r_i|| <= rel_tol * max(||b||, 1)."""
     stop = cfg.rel_tol * _scale(np.linalg.norm(b))
     cap = cfg.iteration_cap(b.shape[0])
-    return _cg_recurrence(apply, x, b - apply(x), cap, stop, cfg.breakdown_tol, cfg.record_trace)
+    return _cg_recurrence(apply, start, b - apply(start), cap, stop, cfg.breakdown_tol, cfg.record_trace)
 
 
 def cg_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
@@ -200,18 +237,17 @@ def cgls_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
     cap = cfg.iteration_cap(n)
     stop = (cfg.rel_tol * _scale(np.linalg.norm(a.T @ b))) ** 2
 
-    x = x0.copy()
     at = a.T
-    r = b - a @ x
+    r = b - a @ x0
     s = at.dot(r)
-    p = s
+    P, R, S = np.array([s]), np.array([r]), np.array([s])
+    x, p, j = x0, s, 0
     gamma = float(s.dot(s))
 
     alphas: list[float] = []
     betas: list[float] = []
     res_norms = [math.sqrt(float(r.dot(r)))]
     normal_res_norms = [math.sqrt(gamma)]
-    xs, rs, ps, ss = ([x], [r], [p], [s]) if cfg.record_trace else ([], [], [], [])
 
     while True:
         if gamma <= stop:
@@ -226,27 +262,24 @@ def cgls_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
             stop_reason = BREAKDOWN
             break
         alpha = gamma / qq
-        x = x + alpha * p
-        r = r - alpha * q
-        s = at.dot(r)
+        if j + 1 == len(P):
+            (P, R, S), x, j = _make_room((P, R, S), x, alphas, cap, cfg.record_trace)
+        j += 1
+        r = np.subtract(r, alpha * q, out=R[j])
+        s = at.dot(r, out=S[j])
         gamma_next = float(s.dot(s))
         beta = gamma_next / gamma
-        p = s + beta * p
+        p = np.add(s, beta * p, out=P[j])
         gamma = gamma_next
 
         alphas.append(alpha)
         betas.append(beta)
         res_norms.append(math.sqrt(float(r.dot(r))))
         normal_res_norms.append(math.sqrt(gamma))
-        if cfg.record_trace:
-            xs.append(x)
-            rs.append(r)
-            ps.append(p)
-            ss.append(s)
 
-    states = (_rows(xs, n), _rows(rs, m), _rows(ps, n))
-    return SolveTrace("cgls", stop_reason, x, alphas, betas, res_norms, *states,
-                      normal_res_norms=normal_res_norms, normal_residuals=_rows(ss, n))
+    x, xs, ps, rs, ss = _finish((P, R, S), x, alphas, j, cfg.record_trace)
+    return SolveTrace("cgls", stop_reason, x, alphas, betas, res_norms, xs, rs, ps,
+                      normal_res_norms=normal_res_norms, normal_residuals=ss)
 
 
 def cgne_solve(a, b, y0, cfg: SolverConfig | None = None) -> SolveTrace:

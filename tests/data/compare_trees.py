@@ -7,6 +7,8 @@ process that imports that tree's ``src``; the two processes run side by side.
 - ``golden``: this checkout's ``make_golden_reports.py``, every CLI case;
 - ``replay``: this checkout's ``replay_krylov_traces.py --tree TREE``, which
   runs that tree's ``krylov_traces`` workload for ``--cycles`` cycles per seed;
+- ``unrecorded``: the same replay with ``--unrecorded``, every solver call of
+  it run again with ``record_trace=False``;
 - ``help <command>``: ``semikrylov <command> -h`` for each of the four
   commands, at 80 columns.
 
@@ -70,9 +72,12 @@ def compare(parent: Path, change: Path, seeds: list[int], cycles: int) -> bool:
         _run_both("replay", trees, outs("replay"),
                   [str(HERE / "replay_krylov_traces.py"), "--tree", "{tree}",
                    "--seeds", *map(str, seeds), "--cycles", str(cycles)])
+        _run_both("unrecorded", trees, outs("unrecorded"),
+                  [str(HERE / "replay_krylov_traces.py"), "--tree", "{tree}", "--unrecorded",
+                   "--seeds", *map(str, seeds), "--cycles", str(cycles)])
         _run_both("help", trees, outs("help"), ["-c", HELP, *COMMANDS])
 
-        for name in ("golden", "replay"):
+        for name in ("golden", "replay", "unrecorded"):
             same = filecmp.cmp(*outs(name), shallow=False)
             equal &= same
             print(f"{name}: {'equal' if same else 'differs'}")

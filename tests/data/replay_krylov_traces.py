@@ -9,6 +9,10 @@ of operations run, and the list of ``(seed, cycle, kind, result)`` records
 (every ``SolveTrace`` field and every equivalence, confinement and bound
 report) is written to stdout as one pickle. Two trees compute the same
 results when their outputs compare equal with ``cmp``.
+
+With ``--unrecorded`` the pickle instead lists ``(solver, trace)`` for every
+solver call of those operations, in call order, each run again on the same
+problem with ``record_trace=False``. No benchmark operation runs that path.
 """
 
 import argparse
@@ -35,11 +39,31 @@ def replay(seeds: list[int], cycles: int) -> list[tuple]:
     return records
 
 
+def unrecorded(seeds: list[int], cycles: int) -> list[tuple]:
+    """Replay the operations and rerun each solver call with trace recording off."""
+    from semikrylov import solvers
+
+    runs = []
+
+    def rerun(solve):
+        def call(a, b, start):
+            runs.append((solve.__name__, solve(a, b, start, solvers.SolverConfig(record_trace=False))))
+            return solve(a, b, start)
+        return call
+
+    for name in ("cg_solve", "cgls_solve", "cgne_solve"):
+        setattr(solvers, name, rerun(getattr(solvers, name)))
+    replay(seeds, cycles)
+    return runs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", type=Path, default=ROOT, help="checkout to import from")
     parser.add_argument("--seeds", type=int, nargs="+", required=True, help="workload seeds")
     parser.add_argument("--cycles", type=int, required=True, help="cycles to run per seed")
+    parser.add_argument("--unrecorded", action="store_true",
+                        help="pickle the solver calls rerun with record_trace=False instead")
     args = parser.parse_args(argv)
     tree = args.tree.resolve()
     sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
@@ -48,7 +72,8 @@ def main(argv=None) -> int:
     if Path(semikrylov.__file__).resolve().parent != tree / "src" / "semikrylov":
         print(f"error: semikrylov was imported from {semikrylov.__file__}", file=sys.stderr)
         return 2
-    sys.stdout.buffer.write(pickle.dumps(replay(args.seeds, args.cycles), protocol=PROTOCOL))
+    records = (unrecorded if args.unrecorded else replay)(args.seeds, args.cycles)
+    sys.stdout.buffer.write(pickle.dumps(records, protocol=PROTOCOL))
     return 0
 
 

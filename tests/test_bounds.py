@@ -245,3 +245,26 @@ def test_violations_equal_the_state_by_state_scan(seed):
     assert all(type(k) is int and type(mk) is float and type(bk) is float for k, mk, bk in got)
     if seed == 0:
         assert got
+
+
+def _bound_reports():
+    spsd = make_problem(ProblemSpec("spsd", (40, 40), tuple(np.geomspace(1, 1e-3, 30)) + (0.0,) * 10, seed=67))
+    tall = make_problem(ProblemSpec("rectangular", (44, 40), tuple(np.geomspace(1, 1e-2, 30)) + (0.0,) * 10,
+                                    seed=68, consistency_gap=0.3))
+    wide = make_problem(ProblemSpec("rectangular", (30, 40), tuple(np.geomspace(1, 1e-2, 30)), seed=69))
+    sd_tall, sd_wide = svd(tall.a), svd(wide.a)
+    return [
+        cg_bound_verify(cg_solve(spsd.a, spsd.b, spsd.x0), symmetric_eig(spsd.a)),
+        cgls_bound_verify(cgls_solve(tall.a, tall.b, tall.x0), sd_tall, pinv_apply_rect(sd_tall, tall.b)),
+        cgne_bound_verify(cgne_solve(wide.a, wide.b, np.zeros(30)), sd_wide),
+    ]
+
+
+def test_envelope_is_python_power_bit_for_bit():
+    """The bound is 2.0 * rho**k * m0 with Python's float power, which np.power does not
+    match in every state; a vectorised envelope must keep these bits."""
+    for report in _bound_reports():
+        rho, m0 = report.contraction_factor, report.measured[0]
+        want = [2.0 * rho**k * m0 for k in range(len(report.measured))]
+        assert len(want) > 30, report.kind
+        assert np.array(report.bound).tobytes() == np.array(want).tobytes(), report.kind

@@ -466,6 +466,7 @@ def fuzz_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("fuzz")
     (d / "out").mkdir()
     (d / "bad").mkdir()
+    (d / "cwd").mkdir()
     specs = {
         "spsd": {"kind": "spsd", "dims": [6, 6], "spectrum": [1.0, 0.5, 0.2, 0.1, 0.0, 0.0],
                  "seed": 1, "x0_mode": "random_full"},
@@ -533,30 +534,48 @@ def argvs(draw):
     return argv
 
 
+def _run_fuzzed(fuzz_dir, argv, seed_env=None):
+    """run_command(argv) from fuzz_dir/cwd, so that a relative path such as a stray value
+    ``extra`` lands there; returns the exit code and stderr."""
+    argv = [arg.replace("{d}", str(fuzz_dir)) for arg in argv]
+    saved = os.environ.pop(SEED_ENV, None)
+    if seed_env is not None:
+        os.environ[SEED_ENV] = seed_env
+    out, err = io.StringIO(), io.StringIO()
+    launch = os.getcwd()
+    try:
+        os.chdir(fuzz_dir / "cwd")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_command(argv)
+    finally:
+        os.chdir(launch)
+        os.environ.pop(SEED_ENV, None)
+        if saved is not None:
+            os.environ[SEED_ENV] = saved
+    return code, err.getvalue()
+
+
 class TestArgvFuzz:
     """Whatever the argv, run_command returns 0, 1 or 2 and raises nothing.
 
     All examples run in one process, so they also exercise the shared parser.
     """
 
+    def test_a_stray_value_writes_into_the_fuzz_directory(self, fuzz_dir):
+        launch = Path.cwd()
+        before = sorted(launch.iterdir())
+        code, _ = _run_fuzzed(fuzz_dir, ["generate", "--spec", "{d}/spsd.json", "--out-dir", "extra"])
+        assert code == 0
+        assert (fuzz_dir / "cwd" / "extra" / "a.mtx").is_file()
+        assert Path.cwd() == launch and sorted(launch.iterdir()) == before
+
     @settings(max_examples=400, deadline=None)
     @given(argv=argvs(), seed_env=st.sampled_from([None, "9", "abc"]))
     def test_exit_code_is_0_1_or_2(self, fuzz_dir, argv, seed_env):
-        argv = [arg.replace("{d}", str(fuzz_dir)) for arg in argv]
-        saved = os.environ.pop(SEED_ENV, None)
-        if seed_env is not None:
-            os.environ[SEED_ENV] = seed_env
-        out, err = io.StringIO(), io.StringIO()
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = run_command(argv)
-        finally:
-            os.environ.pop(SEED_ENV, None)
-            if saved is not None:
-                os.environ[SEED_ENV] = saved
+        code, err = _run_fuzzed(fuzz_dir, argv, seed_env)
         assert code in (0, 1, 2), argv
         if code == 2:
-            assert "error: " in err.getvalue(), argv
+            assert "error: " in err, argv
         assert not list(fuzz_dir.rglob(".tmp-*")), argv
 
 

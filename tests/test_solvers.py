@@ -1,8 +1,11 @@
+import functools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from semikrylov import solvers
 from semikrylov.decomposition import decomposed_cg_run
 from semikrylov.genmat import ProblemSpec, make_problem
 from semikrylov.linalg import symmetric_eig
@@ -475,3 +478,168 @@ class TestBitIdenticalToTextbookLoops:
         assert run.stop_reason == reason
         # a breakdown is found after one more apply, for the attempt that did not complete
         assert apply.calls == run.iterations + (reason == "breakdown")
+
+
+# State counts just below, at and just above the rows a history starts with and the rows of its
+# first doubling; an unrecorded run folds its block when those first rows fill.
+BOUNDARY_STATES = [rows + d for rows in (solvers._BLOCK, 2 * solvers._BLOCK) for d in (-1, 0, 1)]
+HISTORIES = {"iterates": "xs", "residuals": "rs", "directions": "ps", "normal_residuals": "ss",
+             "y_iterates": "ys"}
+
+
+@functools.lru_cache(maxsize=None)
+def _slow_problem(kind):
+    """A problem no solver finishes within 2 * _BLOCK + 1 states, so the cap sets the count."""
+    n, zeros = 200, 20
+    if kind == "spsd":
+        return make_problem(ProblemSpec("spsd", (n, n), tuple(np.geomspace(1.0, 1e-6, n - zeros))
+                                        + (0.0,) * zeros, seed=7, x0_mode="random_full"))
+    dims, zeros, gap = {"tall": ((220, n), 20, 1e-2), "wide": ((180, n), 0, 0.0)}[kind]
+    spectrum = tuple(np.geomspace(1.0, 1e-3, 180)) + (0.0,) * zeros
+    return make_problem(ProblemSpec("rectangular", dims, spectrum, seed=7, consistency_gap=gap,
+                                    x0_mode="random_full"))
+
+
+def _check_run(trace, want, record):
+    """``trace`` is the textbook run ``want`` bit for bit; unrecorded histories have zero rows."""
+    assert trace.stop_reason == want["stop_reason"]
+    for key in ("alphas", "betas", "res_norms", "normal_res_norms", "x", "y"):
+        if key in want:
+            _bit_identical(getattr(trace, key), want[key])
+    for field, key in HISTORIES.items():
+        if key in want:
+            got = getattr(trace, field)
+            if record:
+                _bit_identical(got, want[key])
+            else:
+                assert got.shape == (0, np.shape(want[key])[1])
+
+
+def _eigenbasis_start(dec, b, x0):
+    """The diagonal operator, x and r with which decomposed_cg_run starts its recurrence."""
+    lam_full = np.concatenate([dec.lambdas_r, np.zeros(dec.dim - dec.rank)])
+    b1, b2 = split(dec, b).range_part, split(dec, b).null_part
+    x1, x2 = split(dec, x0).range_part, split(dec, x0).null_part
+    return (lambda p: lam_full * p), np.concatenate([x1, x2]), np.concatenate([b1 - dec.lambdas_r * x1, b2])
+
+
+def _cg_case(problem, cfg):
+    a, b, x0 = problem.a, problem.b, problem.x0
+    cap = cfg.iteration_cap(len(b))
+    want = textbook_cg(lambda p: a @ p, x0, b - a @ x0, cap, cfg.rel_tol * max(np.linalg.norm(b), 1.0))
+    return cg_solve(a, b, x0, cfg), want
+
+
+def _cgls_case(problem, cfg):
+    a, b, x0 = problem.a, problem.b, problem.x0
+    stop = (cfg.rel_tol * max(np.linalg.norm(a.T @ b), 1.0)) ** 2
+    return cgls_solve(a, b, x0, cfg), textbook_cgls(a, b, x0, cfg.iteration_cap(a.shape[1]), stop)
+
+
+def _cgne_case(problem, cfg):
+    a, b = problem.a, problem.b
+    y0 = np.random.default_rng(45).standard_normal(a.shape[0])
+    cap = cfg.iteration_cap(a.shape[0])
+    want = textbook_cg(lambda p: a @ (a.T @ p), y0, b - a @ (a.T @ y0), cap,
+                       cfg.rel_tol * max(np.linalg.norm(b), 1.0))
+    ys = np.array(want["xs"])
+    # the trace's x and iterates are A^T y; its y fields are the textbook run's x fields
+    return cgne_solve(a, b, y0, cfg), want | {"x": a.T @ want["x"], "xs": ys @ a, "y": want["x"], "ys": ys}
+
+
+# each solver's case builder and the kind of problem it solves
+SOLVER_CASES = {"cg": (_cg_case, "spsd"), "cgls": (_cgls_case, "tall"), "cgne": (_cgne_case, "wide")}
+
+
+def _decomposed_case(problem, iters):
+    dec = symmetric_eig(problem.a)
+    apply, x, r = _eigenbasis_start(dec, problem.b, problem.x0)
+    dtrace = decomposed_cg_run(dec, problem.b, problem.x0, iters)
+    want = textbook_cg(apply, x, r, iters, -1.0)
+    assert (dtrace.stop_reason, want["stop_reason"]) in [("completed", "max_iters"),
+                                                         ("breakdown", "breakdown")]
+    _bit_identical(dtrace.alphas, want["alphas"])
+    _bit_identical(dtrace.betas, want["betas"])
+    for block, key in [((dtrace.x1, dtrace.x2), "xs"), ((dtrace.r1, dtrace.r2), "rs"),
+                       ((dtrace.p1, dtrace.p2), "ps")]:
+        _bit_identical(np.hstack(block), want[key])
+    return dtrace
+
+
+class TestHistoryBoundaries:
+    """Histories grow by doubling and unrecorded runs fold a fixed block, bit for bit as the textbook."""
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("states", BOUNDARY_STATES)
+    @pytest.mark.parametrize("method", SOLVER_CASES)
+    def test_solver(self, method, states, record):
+        case, kind = SOLVER_CASES[method]
+        trace, want = case(_slow_problem(kind), SolverConfig(max_iters=states - 1, record_trace=record))
+        assert trace.stop_reason == "max_iters" and len(trace.res_norms) == states
+        _check_run(trace, want, record)
+
+    @pytest.mark.parametrize("states", BOUNDARY_STATES)
+    def test_decomposed_cg_run(self, states):
+        dtrace = _decomposed_case(_slow_problem("spsd"), states - 1)
+        assert dtrace.stop_reason == "completed" and len(dtrace.x1) == states
+
+    # Tiny blocks grow or fold every few states, and a run that stops on its own leaves
+    # spare rows behind the trimmed views.
+    @pytest.mark.parametrize("block", [2, 3, 5])
+    @pytest.mark.parametrize("record", [True, False])
+    def test_small_blocks_stop_on_their_own(self, monkeypatch, block, record):
+        monkeypatch.setattr(solvers, "_BLOCK", block)
+        cfg = SolverConfig(record_trace=record)
+        for consistent in (True, False):
+            for case, kind in [(_cg_case, "spsd"), (_cgls_case, "tall"),
+                               (_cgne_case, "wide" if consistent else "tall")]:
+                trace, want = case(_bit_problem(kind, consistent), cfg)
+                assert trace.stop_reason in ("converged", "breakdown")
+                _check_run(trace, want, record)
+            _decomposed_case(_bit_problem("spsd", consistent), 300)
+
+    @pytest.mark.parametrize("block", [2, solvers._BLOCK])
+    @pytest.mark.parametrize("solve, kind", [(cg_solve, "spsd"), (cgls_solve, "tall"),
+                                             (cgne_solve, "wide")])
+    def test_recorded_and_unrecorded_runs_agree(self, monkeypatch, block, solve, kind):
+        monkeypatch.setattr(solvers, "_BLOCK", block)
+        problem = _slow_problem(kind)
+        start = problem.x0 if solve is not cgne_solve else np.zeros(problem.a.shape[0])
+        runs = [solve(problem.a, problem.b, start, SolverConfig(max_iters=150, record_trace=record))
+                for record in (True, False)]
+        for key in ("x", "y", "alphas", "betas", "res_norms", "normal_res_norms"):
+            if getattr(runs[0], key) is not None:
+                _bit_identical(getattr(runs[1], key), getattr(runs[0], key))
+        for field in HISTORIES:
+            recorded, unrecorded = getattr(runs[0], field), getattr(runs[1], field)
+            if recorded is not None:
+                assert len(recorded) == 151 and unrecorded.shape == (0, recorded.shape[1])
+
+
+class TestHistoryMemory:
+    def test_unrecorded_run_stays_within_one_block(self):
+        spectrum = tuple(np.geomspace(1.0, 1e-6, 400))
+        problem = make_problem(ProblemSpec("spsd", (400, 400), spectrum, seed=8))
+        a, b, x0 = problem.a, problem.b, problem.x0
+        peaks = {}
+        for iters in (200, 2000):
+            # the recurrence alone: cg_solve's symmetry check of A would set the peak
+            tracemalloc.start()
+            try:
+                trace = _cg_recurrence(a.dot, x0, b - a @ x0, iters, 0.0, 1e-14, False)
+                peaks[iters] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert trace.iterations == iters
+        # one fold block: the residual and direction rows it holds
+        assert peaks[2000] - peaks[200] <= 2 * solvers._BLOCK * 400 * 8
+
+    def test_history_rows_hold_exactly_their_bytes(self):
+        tall, wide = _slow_problem("tall"), _slow_problem("wide")
+        cfg = SolverConfig(max_iters=2 * solvers._BLOCK + 7)
+        states = cfg.max_iters + 1
+        for trace in [cgls_solve(tall.a, tall.b, tall.x0, cfg), cgne_solve(wide.a, wide.b, np.zeros(180), cfg)]:
+            for field in HISTORIES:
+                rows = getattr(trace, field)
+                if rows is not None:
+                    assert sum(row.nbytes for row in rows) == states * rows.shape[1] * 8, field
