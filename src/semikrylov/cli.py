@@ -96,6 +96,12 @@ def _relative_distance(x: np.ndarray, reference: np.ndarray) -> float:
     return float(dist) / _scale(np.linalg.norm(reference))
 
 
+def _row_norms(rows: np.ndarray, basis: np.ndarray) -> list:
+    """np.linalg.norm(rows @ basis, axis=1) bit for bit, with the one product squared in place."""
+    product = rows @ basis
+    return np.sqrt(np.add.reduce(np.multiply(product, product, out=product), axis=1)).tolist()
+
+
 def _decompose(method, a, rank_tol):
     """The oracle of --method: the eigendecomposition for cg (square and symmetric), else the SVD."""
     return symmetric_eig(a, rank_tol) if method == "cg" else svd(a, rank_tol)
@@ -139,8 +145,8 @@ def _finish(args, command, method, dec, trace, checks, **fields) -> int:
         alphas=list(trace.alphas),
         betas=list(trace.betas),
         normal_res_norms=list(trace.normal_res_norms) if trace.normal_res_norms else None,
-        range_res_norms=np.linalg.norm(trace.residuals @ basis1, axis=1).tolist(),
-        null_res_norms=np.linalg.norm(trace.residuals @ basis2, axis=1).tolist(),
+        range_res_norms=_row_norms(trace.residuals, basis1),
+        null_res_norms=_row_norms(trace.residuals, basis2),
         checks=checks,
         passed=passed,
         timestamp=datetime.now(timezone.utc).isoformat(),

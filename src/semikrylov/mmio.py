@@ -6,11 +6,12 @@ full dense matrix. A coordinate entry given twice is rejected, not summed
 or overwritten. A size line may declare at most MAX_CELLS = 10**8 cells.
 Only ``_bulk`` turns a body into values, piece by piece straight into the
 result arrays, so a read needs the text plus a few copies of the matrix. A
-body it rejects is walked line by line only to name the error and its 1-based
-line: once to count the entries, then, if the count is right, up to the first
-bad entry. The walks keep no values, so a malformed file costs no more memory
-than a well-formed one. Writing emits ``array real general`` with 17
-significant digits, formatted in blocks; files go through ``write_text_atomic``.
+body it rejects is walked only to name the error and its 1-based line: once to
+count the entries, then up to the first bad entry if the count is right, and
+back from the end to the last content line. The walks keep no values, so a
+malformed file costs no more memory than a well-formed one. Writing emits
+``array real general`` with 17 significant digits, in blocks, formatting each
+value of a bit-symmetric lower triangle once; files go via ``write_text_atomic``.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ class MatrixMarketError(ValueError):
 _BANNER = "%%matrixmarket"
 MAX_CELLS = 10**8
 # one line and its end, at the line boundaries of str.splitlines; the last match is empty
-_EOL = "\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
+_EOL = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _LINE = re.compile(f"[^{_EOL}]*(?:\r\n|[{_EOL}]|\\Z)")
 _SLICE = 1 << 16  # body characters parsed at a time, give or take one line
-_BLOCK = 1 << 12  # values the writer formats at a time
+_BLOCK = 1 << 12  # values the writer formats, and places, at a time
 # per character: 2 ends a line for str.splitlines, 1 is other whitespace for str.split, 0 neither
 _KIND = bytes(2 if len(f"a{chr(c)}a".splitlines()) > 1 else chr(c).isspace() for c in range(256))
 
@@ -118,22 +119,28 @@ def _tokens_per_line(piece: str) -> np.ndarray:
     return np.diff(ends, prepend=0, append=starts.size)
 
 
+def _last_content(text: str, start: int, no: int, tail: int = _SLICE) -> int:
+    """The last line number that _content(text, start, no) yields, else no - 1, found from the end."""
+    cut = max(text.rfind("\n", start, len(text) - tail) + 1, start)  # where the tail's lines start
+    first = no + sum(text.count(c, start, cut) for c in _EOL) - text.count("\r\n", start, cut)
+    last = max((line_no for line_no, _ in _content(text, cut, first)), default=first - 1)
+    return last if last >= first or cut == start else _last_content(text, start, no, 2 * tail)
+
+
 def _body_error(text: str, start: int, no: int, fmt: str, count: int, rows: int, cols: int,
                 symmetry: str):
     """The error of a body text[start:], from line no, that _bulk rejected: a wrong count first."""
-    found, last = 0, no - 1
+    found = 0
     for per_line in map(_tokens_per_line, _pieces(text, start)):
         # an array entry is a token, a coordinate entry a line
         found += int(per_line.sum() if fmt == "array" else np.count_nonzero(per_line))
     try:  # the entries are checked only when their count is right
-        for last, line in _content(text, start, no):
-            if found == count:
-                _check_entry(line[0].split(), last, fmt, rows, cols, symmetry)
+        for line_no, line in _content(text, start, no) if found == count else ():
+            _check_entry(line[0].split(), line_no, fmt, rows, cols, symmetry)
     except MatrixMarketError as exc:
         return exc
-    if found != count:
-        return MatrixMarketError(f"line {last}: expected {count} entries, found {found}")
-    return MatrixMarketError(f"line {last}: {fmt} body does not parse")
+    what = f"{fmt} body does not parse" if found == count else f"expected {count} entries, found {found}"
+    return MatrixMarketError(f"line {_last_content(text, start, no)}: {what}")
 
 
 def _bulk(text: str, start: int, fmt: str, count: int, rows: int, cols: int, symmetry: str):
@@ -242,9 +249,18 @@ def write_matrix_market(a) -> str:
     """Serialize a dense matrix as 'array real general' Matrix Market text."""
     a = as_matrix(a)
     rows, cols = a.shape
-    values = a.T.ravel()
+    # a matrix equal to its transpose bit for bit (0.0 mirrored by -0.0 is not) formats its
+    # lower triangle once, in 25-byte fields padded with spaces: %.17g has at most 24 characters
+    symmetric = rows == cols and np.array_equal(a.view(np.uint64), a.T.view(np.uint64))
+    values, form = (a[np.tri(rows, dtype=bool)], "%-24.17g\n") if symmetric else (a.T.ravel(), "%.17g\n")
     blocks = (values[k : k + _BLOCK].tolist() for k in range(0, values.size, _BLOCK))
-    body = (("%.17g\n" * len(block)) % tuple(block) for block in blocks)
+    body = ((form * len(block)) % tuple(block) for block in blocks)
+    if symmetric:  # the field of a[i, j], j <= i, goes to (i, j) and (j, i); rows are then columns
+        fields, lower = np.empty((rows, rows), "S25"), np.tri(rows, dtype=bool)
+        fields[lower] = fields.T[lower] = np.frombuffer("".join(body).encode(), "S25")
+        body = [fields.flat[k : k + _BLOCK].tobytes().translate(None, b" ").decode()
+                for k in range(0, fields.size, _BLOCK)]
+        del values, fields  # before the join, which holds the text twice
     return "".join([f"%%MatrixMarket matrix array real general\n{rows} {cols}\n", *body])
 
 

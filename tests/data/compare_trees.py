@@ -9,13 +9,16 @@ process that imports that tree's ``src``; the two processes run side by side.
   runs that tree's ``krylov_traces`` workload for ``--cycles`` cycles per seed;
 - ``unrecorded``: the same replay with ``--unrecorded``, every solver call of
   it run again with ``record_trace=False``;
+- ``mtx``: this checkout's ``write_mtx_files.py``, the text of every ``.mtx``
+  file that ``generate`` writes for a few specs, and of one
+  ``save_matrix_market`` file;
 - ``help <command>``: ``semikrylov <command> -h`` for each of the four
   commands, at 80 columns.
 
 One line per artifact reads ``<artifact>: equal`` or ``<artifact>: differs``.
-A golden difference names the cases that differ, and a help difference is
-shown as a diff. The exit code is 0 when everything is equal, 1 when anything
-differs, and 2 when a tree fails to run.
+A golden or mtx difference names the cases or files that differ, and a help
+difference is shown as a diff. The exit code is 0 when everything is equal, 1
+when anything differs, and 2 when a tree fails to run.
 """
 
 import argparse
@@ -75,9 +78,10 @@ def compare(parent: Path, change: Path, seeds: list[int], cycles: int) -> bool:
         _run_both("unrecorded", trees, outs("unrecorded"),
                   [str(HERE / "replay_krylov_traces.py"), "--tree", "{tree}", "--unrecorded",
                    "--seeds", *map(str, seeds), "--cycles", str(cycles)])
+        _run_both("mtx", trees, outs("mtx"), [str(HERE / "write_mtx_files.py")])
         _run_both("help", trees, outs("help"), ["-c", HELP, *COMMANDS])
 
-        for name in ("golden", "replay", "unrecorded"):
+        for name in ("golden", "replay", "unrecorded", "mtx"):
             same = filecmp.cmp(*outs(name), shallow=False)
             equal &= same
             print(f"{name}: {'equal' if same else 'differs'}")
@@ -85,6 +89,10 @@ def compare(parent: Path, change: Path, seeds: list[int], cycles: int) -> bool:
                 old, new = (json.loads(path.read_text()) for path in outs(name))
                 names = [a["name"] for a, b in zip(old, new) if a != b]
                 print("  cases: " + ", ".join(names))
+            if name == "mtx" and not same:
+                old, new = (json.loads(path.read_text()) for path in outs(name))
+                files = sorted(f for f in old.keys() | new.keys() if old.get(f) != new.get(f))
+                print("  files: " + ", ".join(files))
         old, new = (json.loads(path.read_text()) for path in outs("help"))
         for command in COMMANDS:
             same = old[command] == new[command]

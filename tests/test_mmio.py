@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import stat
@@ -527,6 +528,94 @@ def test_writer_blocks_join_to_the_per_value_text(shape):
     assert write_matrix_market(a) == _per_value_text(a)
 
 
+def _first_difference(text, expected):
+    """None when the texts are equal, else the first differing line: (index, text's, expected's).
+
+    A failure shows that line, not a diff of two long texts, which takes pytest minutes."""
+    if text == expected:
+        return None
+    pairs = enumerate(itertools.zip_longest(text.splitlines(), expected.splitlines()))
+    return next((k, got, want) for k, (got, want) in pairs if got != want)
+
+
+def _random_bits(rng, shape):
+    """Finite float64 values with random bit patterns, so that every exponent occurs."""
+    a = rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(np.float64).copy()
+    a[~np.isfinite(a)] = 1.0
+    return a
+
+
+BIG = float(np.finfo(np.float64).max)
+# the longest %.17g text of a float64 has 24 characters
+LONGEST = -1.2345678901234567e-308
+WRITER_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, BIG, -BIG, LONGEST, 2.2250738585072014e-308, 0.1,
+                   1e-5, 1e-4, 1e16, 1e17, -1 / 3]
+# a square matrix this wide spans more than one block of the writer
+PAST_ONE_BLOCK = math.isqrt(mmio._BLOCK) + 2
+
+
+@st.composite
+def written_matrices(draw):
+    """Square matrices, half of them symmetric bit for bit, up to just past one writer block,
+    and n x 1 and 1 x n ones; a few entries (and their mirrors) are special values."""
+    n = draw(st.integers(1, PAST_ONE_BLOCK))
+    shape = draw(st.sampled_from([(n, n), (n, n), (n, 1), (1, n)]))
+    a = _random_bits(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), shape)
+    symmetric = shape[0] == shape[1] and draw(st.booleans())
+    if symmetric:
+        a = np.where(np.tri(n, dtype=bool), a, a.T)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, shape[1] - 1))
+        a[i, j] = draw(st.sampled_from(WRITER_SPECIALS))
+        if symmetric:
+            a[j, i] = a[i, j]
+    return a
+
+
+@given(written_matrices(), st.sampled_from([1, 2, 3, 7, mmio._BLOCK]))
+@settings(max_examples=300, deadline=None)
+def test_written_text_is_the_per_value_text(a, block):
+    with mock.patch.object(mmio, "_BLOCK", block):
+        text = write_matrix_market(a)
+    rows, cols = a.shape
+    head = f"%%MatrixMarket matrix array real general\n{rows} {cols}\n"
+    assert _first_difference(text, head + "".join("%.17g\n" % v for v in a.T.ravel().tolist())) is None
+
+
+def test_a_zero_mirrored_by_a_negative_zero_is_written_as_given():
+    a = np.array([[1.0, 0.0, 3.0], [-0.0, 2.0, 0.5], [3.0, 0.5, -0.0]])
+    assert _first_difference(write_matrix_market(a), _per_value_text(a)) is None
+    assert write_matrix_market(a).splitlines()[2:] == ["1", "-0", "3", "0", "2", "0.5", "3", "0.5", "-0"]
+
+
+@pytest.mark.parametrize("value", [5e-324, BIG, -BIG, LONGEST, -0.0], ids=repr)
+def test_symmetric_matrices_write_extreme_values_in_both_places(value):
+    a = np.diag([1.0, 2.0, 3.0, 4.0])
+    a[3, 0] = a[0, 3] = a[2, 1] = a[1, 2] = value
+    text = write_matrix_market(a)
+    assert _first_difference(text, _per_value_text(a)) is None
+    assert text.splitlines().count("%.17g" % value) == 4
+    assert len("%.17g" % LONGEST) == 24
+
+
+def test_symmetric_writer_peaks_near_the_general_writer():
+    n = 600
+    a = np.random.default_rng(8).normal(size=(n, n))
+    a = a + a.T
+    b = a.copy()
+    b[5, 3] = np.nextafter(b[5, 3], np.inf)  # no longer symmetric
+    peaks = []
+    for m in (a, b):
+        tracemalloc.start()
+        try:
+            text = write_matrix_market(m)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert _first_difference(text, _per_value_text(m)) is None
+    assert peaks[0] <= 1.25 * peaks[1]
+
+
 def _malformed_texts(a):
     """Four ways a body can fail after its head parsed: a bad last entry, a short body,
     a repeated coordinate entry, and no size line at all."""
@@ -628,3 +717,53 @@ def test_tokens_per_line_are_those_of_str_split_on_str_splitlines(piece):
     # only blank lines may differ, such as the one after a final line break
     counts = [n for n in mmio._tokens_per_line(piece).tolist() if n]
     assert counts == [n for n in map(len, map(str.split, piece.splitlines())) if n]
+
+
+# line breaks of str.splitlines: "\r\n" is one, the others are one character each
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x85", "\u2028"]
+ARRAY_HEAD = "%%MatrixMarket matrix array real general|"
+WRONG_COUNTS = {  # "|" stands for the line break
+    "one short": (ARRAY_HEAD + "2 2|1|2|3|", "line 5: expected 4 entries, found 3"),
+    "no last break": (ARRAY_HEAD + "2 2|1|2|3", "line 5: expected 4 entries, found 3"),
+    "trailing noise": (ARRAY_HEAD + "2 2|1|2|% c|3||% d|  |%||", "line 6: expected 4 entries, found 3"),
+    "one over": (ARRAY_HEAD + "2 2|1 2|% c|3 4 5|% d|", "line 5: expected 4 entries, found 5"),
+    "no content line": (ARRAY_HEAD + "% a|2 2|% c||  |", "line 3: expected 4 entries, found 0"),
+    "coordinate": ("%%MatrixMarket matrix coordinate real general|2 2 2|1 1 1|% x||",
+                   "line 3: expected 2 entries, found 1"),
+}
+
+
+@pytest.mark.parametrize("piece", [1, 3, 16, mmio._SLICE])
+@pytest.mark.parametrize("end", BREAKS, ids=repr)
+@pytest.mark.parametrize("case", list(WRONG_COUNTS))
+def test_a_wrong_count_names_the_last_content_line(case, end, piece):
+    text, message = WRONG_COUNTS[case]
+    text = text.replace("|", end)
+    with mock.patch.object(mmio, "_SLICE", piece):
+        assert _outcome(read_matrix_market, text) == ("error", message)
+    assert _outcome(reference_read_matrix_market, text) == ("error", message)
+
+
+@pytest.mark.parametrize("end", BREAKS, ids=repr)
+def test_a_wrong_count_is_named_past_a_long_run_of_trailing_comments(end):
+    text = (ARRAY_HEAD + "3 1|1|2|").replace("|", end)
+    text += f"% {'x' * 100}{end}" * 3000  # over four times _SLICE characters
+    assert _outcome(read_matrix_market, text) == ("error", "line 4: expected 3 entries, found 2")
+
+
+def test_a_wrong_count_walks_only_the_end_of_the_text(monkeypatch):
+    a = np.random.default_rng(9).normal(size=(300, 300))
+    text, message = _malformed_texts(a)["one entry short"]
+    walked, content = [], mmio._content
+
+    def counted(*args):
+        for no, line in content(*args):
+            walked.append(no)
+            yield no, line
+
+    monkeypatch.setattr(mmio, "_content", counted)
+    with pytest.raises(MatrixMarketError) as err:
+        read_matrix_market(text)
+    assert str(err.value) == message
+    # the size line, then the lines of the last _SLICE characters or so, not all 90,000
+    assert 1 < len(walked) < 2 * mmio._SLICE / 20
