@@ -22,6 +22,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -219,7 +220,8 @@ def _cmd_diagnose(args) -> int:
         checks["null_stagnation"] = drift <= args.tol
         diagnostics["max_null_drift"] = drift
     else:
-        confinement = null_direction_confinement(dtrace, args.tol)
+        # the plain run's null-space directions: in the eigenbasis run they stay on b2 by construction
+        confinement = null_direction_confinement(replace(dtrace, p2=trace.directions @ q2), args.tol)
         checks["null_confinement"] = confinement.passed
         diagnostics["max_null_direction_sine"] = confinement.max_angle
         r2 = trace.residuals[: equivalence.iterations_compared + 1] @ q2

@@ -6,10 +6,10 @@ full dense matrix. A coordinate entry given twice is rejected, not summed
 or overwritten. A size line may declare at most MAX_CELLS = 10**8 cells.
 Only ``_bulk`` turns a body into values, piece by piece straight into the
 result arrays, so a read needs the text plus a few copies of the matrix. A
-body it rejects is walked only to name the error and its 1-based line: once to
-count the entries, then up to the first bad entry if the count is right, and
-back from the end to the last content line. The walks keep no values, so a
-malformed file costs no more memory than a well-formed one. Writing emits
+line ends where str.splitlines ends one, everywhere. A rejected body is walked
+only to name the error and its 1-based line: once to count the entries, then
+up to the first bad entry if the count is right, and from the last piece that
+holds an entry to the last content line, all keeping no values. Writing emits
 ``array real general`` with 17 significant digits, in blocks, formatting each
 value of a bit-symmetric lower triangle once; files go via ``write_text_atomic``.
 """
@@ -98,13 +98,13 @@ def _check_entry(toks: list, no: int, fmt: str, rows: int, cols: int, symmetry: 
 
 
 def _pieces(text: str, start: int):
-    """text[start:] without comment lines, in pieces of about _SLICE characters that end at a "\\n"."""
+    """(start, piece) of text[start:] minus comments, in pieces of about _SLICE chars that end a _LINE."""
     while start < len(text):
-        end = text.find("\n", start + _SLICE - 1) + 1 or len(text)
-        piece, start = text[start:end], end
+        end = _LINE.match(text, start + _SLICE - 1).end()
+        piece, at, start = text[start:end], start, end
         if "%" in piece:
             piece = "\n".join(ln for ln in piece.splitlines() if not ln.lstrip().startswith("%"))
-        yield piece
+        yield at, piece
 
 
 def _tokens_per_line(piece: str) -> np.ndarray:
@@ -119,28 +119,24 @@ def _tokens_per_line(piece: str) -> np.ndarray:
     return np.diff(ends, prepend=0, append=starts.size)
 
 
-def _last_content(text: str, start: int, no: int, tail: int = _SLICE) -> int:
-    """The last line number that _content(text, start, no) yields, else no - 1, found from the end."""
-    cut = max(text.rfind("\n", start, len(text) - tail) + 1, start)  # where the tail's lines start
-    first = no + sum(text.count(c, start, cut) for c in _EOL) - text.count("\r\n", start, cut)
-    last = max((line_no for line_no, _ in _content(text, cut, first)), default=first - 1)
-    return last if last >= first or cut == start else _last_content(text, start, no, 2 * tail)
-
-
 def _body_error(text: str, start: int, no: int, fmt: str, count: int, rows: int, cols: int,
                 symmetry: str):
     """The error of a body text[start:], from line no, that _bulk rejected: a wrong count first."""
-    found = 0
-    for per_line in map(_tokens_per_line, _pieces(text, start)):
+    found, last = 0, len(text)  # where the last piece with an entry (so the last content line) starts
+    for at, piece in _pieces(text, start):
+        per_line = _tokens_per_line(piece)
         # an array entry is a token, a coordinate entry a line
-        found += int(per_line.sum() if fmt == "array" else np.count_nonzero(per_line))
+        entries = int(per_line.sum() if fmt == "array" else np.count_nonzero(per_line))
+        found, last = found + entries, at if entries else last
     try:  # the entries are checked only when their count is right
         for line_no, line in _content(text, start, no) if found == count else ():
             _check_entry(line[0].split(), line_no, fmt, rows, cols, symmetry)
     except MatrixMarketError as exc:
         return exc
     what = f"{fmt} body does not parse" if found == count else f"expected {count} entries, found {found}"
-    return MatrixMarketError(f"line {_last_content(text, start, no)}: {what}")
+    first = no + sum(text.count(c, start, last) for c in _EOL) - text.count("\r\n", start, last)
+    no = max((line_no for line_no, _ in _content(text, last, first)), default=no - 1)  # else the size line
+    return MatrixMarketError(f"line {no}: {what}")
 
 
 def _bulk(text: str, start: int, fmt: str, count: int, rows: int, cols: int, symmetry: str):
@@ -156,7 +152,7 @@ def _bulk(text: str, start: int, fmt: str, count: int, rows: int, cols: int, sym
         return None
     cells, values = np.empty(count if width == 3 else 0, dtype=np.int64), np.empty(count)
     k = 0
-    for piece in _pieces(text, start):
+    for _, piece in _pieces(text, start):
         tokens = piece.split()
         m = len(tokens) // width
         # a coordinate entry is a line of its own; blank lines hold none

@@ -11,10 +11,10 @@ module share one recurrence, ``_cg_recurrence``, over an operator given as
 a callable. CGLS keeps its own loop in the r/s form, which is numerically
 preferable to CG on A^T A (Bjorck 1996).
 
-On singular systems the curvature denominator (A p, p) can degenerate when
-the right-hand side sticks out of the range; the solvers then stop with
-stop_reason "breakdown" instead of dividing, since that is an expected
-regime rather than a bug.
+The solvers stop with stop_reason "breakdown" when the curvature test
+(A p, p) <= breakdown_tol ||p||^2 (||A p||^2 for CGLS) fires, rather than
+divide. It names the test, not a cause: p nearing the null space ends
+inconsistent runs, and consistent ones once rounding grows their null part.
 
 All three always record the per-iteration scalars (step sizes and residual
 norms) and, unless trace recording is disabled, the vector history: each

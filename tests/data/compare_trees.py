@@ -12,13 +12,15 @@ process that imports that tree's ``src``; the two processes run side by side.
 - ``mtx``: this checkout's ``write_mtx_files.py``, the text of every ``.mtx``
   file that ``generate`` writes for a few specs, and of one
   ``save_matrix_market`` file;
+- ``read``: this checkout's ``read_mtx_files.py``, what the reader makes of
+  those texts and of malformed bodies with every line break;
 - ``help <command>``: ``semikrylov <command> -h`` for each of the four
   commands, at 80 columns.
 
 One line per artifact reads ``<artifact>: equal`` or ``<artifact>: differs``.
-A golden or mtx difference names the cases or files that differ, and a help
-difference is shown as a diff. The exit code is 0 when everything is equal, 1
-when anything differs, and 2 when a tree fails to run.
+A golden, mtx or read difference names the cases or files that differ, and a
+help difference is shown as a diff. The exit code is 0 when everything is
+equal, 1 when anything differs, and 2 when a tree fails to run.
 """
 
 import argparse
@@ -79,9 +81,10 @@ def compare(parent: Path, change: Path, seeds: list[int], cycles: int) -> bool:
                   [str(HERE / "replay_krylov_traces.py"), "--tree", "{tree}", "--unrecorded",
                    "--seeds", *map(str, seeds), "--cycles", str(cycles)])
         _run_both("mtx", trees, outs("mtx"), [str(HERE / "write_mtx_files.py")])
+        _run_both("read", trees, outs("read"), [str(HERE / "read_mtx_files.py")])
         _run_both("help", trees, outs("help"), ["-c", HELP, *COMMANDS])
 
-        for name in ("golden", "replay", "unrecorded", "mtx"):
+        for name in ("golden", "replay", "unrecorded", "mtx", "read"):
             same = filecmp.cmp(*outs(name), shallow=False)
             equal &= same
             print(f"{name}: {'equal' if same else 'differs'}")
@@ -89,10 +92,10 @@ def compare(parent: Path, change: Path, seeds: list[int], cycles: int) -> bool:
                 old, new = (json.loads(path.read_text()) for path in outs(name))
                 names = [a["name"] for a, b in zip(old, new) if a != b]
                 print("  cases: " + ", ".join(names))
-            if name == "mtx" and not same:
+            if name in ("mtx", "read") and not same:
                 old, new = (json.loads(path.read_text()) for path in outs(name))
-                files = sorted(f for f in old.keys() | new.keys() if old.get(f) != new.get(f))
-                print("  files: " + ", ".join(files))
+                keys = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+                print(f"  {'files' if name == 'mtx' else 'cases'}: " + ", ".join(keys))
         old, new = (json.loads(path.read_text()) for path in outs("help"))
         for command in COMMANDS:
             same = old[command] == new[command]

@@ -8,6 +8,10 @@ records the exit code, stdout and stderr, the JSON report without its
 absent), the CSV trace text, and for ``generate`` the ``problem.json`` it
 wrote. The directory's path is stored as ``{tmp}``. The ``.mtx`` bodies that
 ``generate`` writes are left out; their round trip is tested elsewhere.
+
+The file is recorded at the BLAS thread count the host gives (OpenBLAS reads
+``OPENBLAS_NUM_THREADS``). Reports reproduce at one thread count; another
+count can sum in another order and move the floats of a long run.
 """
 
 import contextlib

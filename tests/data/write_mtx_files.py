@@ -37,7 +37,8 @@ SPECS["rectangular"] = {"kind": "rectangular", "dims": [70, 60], "spectrum": _sp
                         "seed": 1670, "consistency_gap": 0.1, "x0_mode": "random_range"}
 
 
-def main() -> int:
+def mtx_texts() -> dict:
+    """{name: text} of every file listed above."""
     texts = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, spec in SPECS.items():
@@ -54,7 +55,11 @@ def main() -> int:
         a[40, 3], a[3, 40] = 0.0, -0.0
         save_matrix_market(Path(tmp, "signed-zero.mtx"), a)
         texts["signed-zero.mtx"] = Path(tmp, "signed-zero.mtx").read_text(encoding="ascii")
-    json.dump(texts, sys.stdout)
+    return texts
+
+
+def main() -> int:
+    json.dump(mtx_texts(), sys.stdout)
     return 0
 
 

@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,40 @@ class TestDiagnoseCommand:
         assert report.checks["null_confinement"]
         assert report.checks["null_residual_constant"]
         assert not report.diagnostics["consistent"]
+
+    def test_plain_directions_that_leave_the_b2_line_fail_null_confinement(self, tmp_path, monkeypatch):
+        spec = ProblemSpec("spsd", (16, 16), tuple(np.geomspace(1, 1e-2, 12)) + (0.0,) * 4, seed=75,
+                           consistency_gap=1e-3)
+        problem = make_problem(spec)
+        save_matrix_market(tmp_path / "a.mtx", problem.a)
+        save_matrix_market(tmp_path / "b.mtx", problem.b.reshape(-1, 1))
+        q2 = symmetric_eig(problem.a).q2
+        b2 = q2.T @ problem.b
+        assert np.linalg.norm(b2) == pytest.approx(1e-3)
+        c = np.eye(q2.shape[1])[0] - b2[0] * b2 / (b2 @ b2)
+        leak = 1e-10 * (q2 @ c) / np.linalg.norm(c)  # along a null vector orthogonal to b2
+
+        def diagnose():
+            out = tmp_path / "diag.json"
+            code = run_command(["diagnose", "--matrix", str(tmp_path / "a.mtx"), "--rhs",
+                                str(tmp_path / "b.mtx"), "--iters", "20", "--out", str(out)])
+            return code, RunReport.from_json(out.read_text())
+
+        code, report = diagnose()
+        assert code == 0
+        assert report.diagnostics["max_null_direction_sine"] < 1e-12
+
+        def leaky_cg_solve(*args, **kwargs):
+            trace = cg_solve(*args, **kwargs)
+            return replace(trace, directions=trace.directions + leak)
+
+        monkeypatch.setattr(cli, "cg_solve", leaky_cg_solve)
+        code, report = diagnose()
+        assert code == 1
+        assert report.checks == {"equivalence": True, "null_confinement": False,
+                                 "null_residual_constant": True}
+        assert 1e-8 < report.diagnostics["max_null_direction_sine"] < 1e-6
+        assert report.diagnostics["max_deviation"] < 1e-9
 
     def test_rank_cut_that_keeps_nothing_exits_2(self, spsd_problem, capsys):
         tmp_path, _, _ = spsd_problem

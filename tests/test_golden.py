@@ -97,7 +97,7 @@ def test_krylov_traces_replay_is_deterministic():
 def test_compare_trees_finds_a_changed_golden_output(tmp_path):
     """The checkout against itself, then against a copy whose one changed line alters reports."""
     root = DATA.parent.parent
-    artifacts = ["golden", "replay", "unrecorded", "mtx", "help solve", "help diagnose",
+    artifacts = ["golden", "replay", "unrecorded", "mtx", "read", "help solve", "help diagnose",
                  "help verify-bounds", "help generate"]
 
     def compare(change):

@@ -460,8 +460,12 @@ class TestBulkReader:
         for text, want in zip(texts, expected):
             np.testing.assert_array_equal(read_matrix_market(text), want)
 
-    @pytest.mark.parametrize("fmt", ["array", "coordinate"])
-    def test_read_peaks_at_a_few_copies_of_the_matrix(self, fmt):
+    # "\n" keeps the plain ids; every break must cut the body into pieces of about _SLICE
+    @pytest.mark.parametrize("fmt, end", [
+        pytest.param(fmt, end, id=fmt if end == "\n" else f"{fmt}-{end!r}")
+        for end in ("\n", "\r", "\x0b", "\x85") for fmt in ("array", "coordinate")
+    ])
+    def test_read_peaks_at_a_few_copies_of_the_matrix(self, fmt, end):
         n = 300
         a = np.random.default_rng(5).normal(size=(n, n))
         a = a + a.T
@@ -472,6 +476,7 @@ class TestBulkReader:
             entries = zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist())
             text = (f"%%MatrixMarket matrix coordinate real symmetric\n{n} {n} {rows.size}\n"
                     + "".join(f"{i + 1} {j + 1} {value!r}\n" for i, j, value in entries))
+        text = text.replace("\n", end)
         tracemalloc.start()
         try:
             got = read_matrix_market(text)
@@ -751,9 +756,10 @@ def test_a_wrong_count_is_named_past_a_long_run_of_trailing_comments(end):
     assert _outcome(read_matrix_market, text) == ("error", "line 4: expected 3 entries, found 2")
 
 
-def test_a_wrong_count_walks_only_the_end_of_the_text(monkeypatch):
+def test_a_wrong_count_walks_only_the_end_of_the_text(monkeypatch, end="\n"):
     a = np.random.default_rng(9).normal(size=(300, 300))
     text, message = _malformed_texts(a)["one entry short"]
+    text = text.replace("\n", end)
     walked, content = [], mmio._content
 
     def counted(*args):
@@ -767,3 +773,8 @@ def test_a_wrong_count_walks_only_the_end_of_the_text(monkeypatch):
     assert str(err.value) == message
     # the size line, then the lines of the last _SLICE characters or so, not all 90,000
     assert 1 < len(walked) < 2 * mmio._SLICE / 20
+
+
+@pytest.mark.parametrize("end", ["\r", "\x0b", "\x85"], ids=repr)
+def test_a_wrong_count_walks_only_the_end_of_a_text_with_other_breaks(monkeypatch, end):
+    test_a_wrong_count_walks_only_the_end_of_the_text(monkeypatch, end)
