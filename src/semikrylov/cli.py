@@ -90,11 +90,11 @@ def _load_problem(args):
     return spec, make_problem(spec)
 
 
-def _relative_distance(x: np.ndarray, reference: np.ndarray) -> float:
-    """||x - reference|| / max(||reference||, 1); the largest over the rows of a 2-d x."""
+def _relative_distance(x: np.ndarray, reference: np.ndarray, size: float) -> float:
+    """||x - reference|| / size; the largest over the rows of a 2-d x."""
     diff = x - reference
     dist = np.max(np.linalg.norm(diff, axis=1)) if diff.ndim == 2 else np.linalg.norm(diff)
-    return float(dist) / _scale(np.linalg.norm(reference))
+    return float(dist / size)
 
 
 def _row_norms(rows: np.ndarray, basis: np.ndarray) -> list:
@@ -177,15 +177,15 @@ def _cmd_solve(args) -> int:
         xdag, basis2 = pinv_apply_rect(dec, b), dec.u2
         expected = xdag + (start - dec.v1 @ (dec.v1.T @ start)) if args.method == "cgls" else xdag
 
-    dist_expected = _relative_distance(trace.x, expected)
+    size = np.linalg.norm(trace.x) or 1.0  # what a zero reference is measured by (1 if x is zero too)
+    distances = {
+        "min_norm": _relative_distance(trace.x, xdag, np.linalg.norm(xdag) or size),
+        "expected": _relative_distance(trace.x, expected, np.linalg.norm(expected) or size),
+        "rhs_null_norm": float(np.linalg.norm(basis2.T @ b)),
+    }
     checks = {
         "converged": trace.stop_reason == "converged",
-        "matches_oracle": dist_expected <= ORACLE_MATCH_TOL,
-    }
-    distances = {
-        "min_norm": _relative_distance(trace.x, xdag),
-        "expected": dist_expected,
-        "rhs_null_norm": float(np.linalg.norm(basis2.T @ b)),
+        "matches_oracle": distances["expected"] <= ORACLE_MATCH_TOL,
     }
     return _finish(args, "solve", args.method, dec, trace, checks, final_distances=distances)
 
@@ -216,7 +216,7 @@ def _cmd_diagnose(args) -> int:
     q2 = decomp.q2
     if cons.consistent:
         x2 = trace.iterates @ q2
-        drift = _relative_distance(x2, x2[0])
+        drift = _relative_distance(x2, x2[0], _scale(np.linalg.norm(x2[0])))
         checks["null_stagnation"] = drift <= args.tol
         diagnostics["max_null_drift"] = drift
     else:
@@ -225,7 +225,7 @@ def _cmd_diagnose(args) -> int:
         checks["null_confinement"] = confinement.passed
         diagnostics["max_null_direction_sine"] = confinement.max_angle
         r2 = trace.residuals[: equivalence.iterations_compared + 1] @ q2
-        residual_drift = _relative_distance(r2, dtrace.b2)
+        residual_drift = _relative_distance(r2, dtrace.b2, _scale(np.linalg.norm(dtrace.b2)))
         checks["null_residual_constant"] = residual_drift <= args.tol
         diagnostics["max_null_residual_drift"] = residual_drift
 

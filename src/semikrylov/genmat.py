@@ -79,6 +79,7 @@ class ProblemSpec:
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "spectrum", tuple(float(s) for s in self.spectrum))
+        object.__setattr__(self, "consistency_gap", float(self.consistency_gap))
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if len(self.dims) != 2:
@@ -121,21 +122,25 @@ class ProblemSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProblemSpec":
-        """Build a spec from its JSON form; a non-object or a bad field raises ValueError."""
+        """Build a spec from its JSON form; a non-object or a bad or mistyped field raises ValueError."""
         if not isinstance(d, dict):
             raise ValueError(f"problem spec must be an object, got {type(d).__name__}")
+        for name, number in zip(("dims", "seed", "spectrum", "consistency_gap"), (int, int, float, float)):
+            entries = d.get(name, []) if name in ("dims", "spectrum") else [d.get(name, 0)]
+            if not isinstance(entries, list) or any(type(v) not in (int, number) for v in entries):
+                raise ValueError(f"problem spec field {name!r} must hold {number.__name__} values")
         try:
             return cls(
                 kind=d["kind"],
-                dims=tuple(d["dims"]),
-                spectrum=tuple(d["spectrum"]),
-                seed=int(d["seed"]),
-                consistency_gap=float(d.get("consistency_gap", 0.0)),
+                dims=d["dims"],
+                spectrum=d["spectrum"],
+                seed=d["seed"],
+                consistency_gap=d.get("consistency_gap", 0.0),
                 x0_mode=d.get("x0_mode", "zero"),
             )
         except KeyError as exc:
             raise ValueError(f"problem spec is missing required field {exc}") from exc
-        except (TypeError, OverflowError) as exc:
+        except OverflowError as exc:
             raise ValueError(f"problem spec has a malformed field: {exc}") from exc
 
 

@@ -53,14 +53,14 @@ def _check_tolerance(name: str, value: float) -> None:
 
 
 def _scale(size):
-    """The size, but at least 1 (per entry for an array): the scale of every tolerance test."""
+    """max(size, 1), per entry for an array: the scale of a test whose reference can be zero."""
     floored = np.maximum(size, 1.0)
     return floored if floored.ndim else float(floored)
 
 
 def check_symmetric(a: np.ndarray) -> None:
     """Raise ValueError if the (square) matrix is not symmetric within tolerance."""
-    if float(np.max(np.abs(a - a.T))) > _SYMMETRY_TOL * _scale(np.max(np.abs(a))):
+    if float(np.max(np.abs(a - a.T))) > _SYMMETRY_TOL * float(np.max(np.abs(a))):
         raise ValueError("matrix is not symmetric within tolerance")
 
 
@@ -92,10 +92,10 @@ class SpectralDecomposition:
     """Orthogonal eigendecomposition A = Q diag(lambdas) Q^T with a rank cut.
 
     Columns of ``q`` are eigenvectors sorted by eigenvalue, largest first.
-    Exactly the first ``rank`` eigenvalues exceed rank_tol * max(lambdas[0], 1);
-    the corresponding leading columns span the numerical range of A and the
-    trailing columns span its null space. Instances are immutable and safe to
-    share across threads.
+    Exactly the first ``rank`` eigenvalues exceed rank_tol * lambdas[0], and none
+    do when lambdas[0] is not positive; the corresponding leading columns span the
+    numerical range of A and the trailing columns span its null space. Instances
+    are immutable and safe to share across threads.
     """
 
     q: np.ndarray
@@ -173,7 +173,7 @@ class SingularDecomposition:
 
 
 def _numerical_rank(values: np.ndarray, rank_tol: float) -> int:
-    return int(np.sum(values > rank_tol * _scale(values[0])))
+    return int(np.sum(values > max(rank_tol * values[0], 0.0)))
 
 
 def symmetric_eig(a, rank_tol: float = DEFAULT_RANK_TOL) -> SpectralDecomposition:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SingularDecomposition, SpectralDecomposition, _scale, _sized
+from .linalg import SingularDecomposition, SpectralDecomposition, _sized
 
 DEFAULT_CONSISTENCY_TOL = 1e-10
 
@@ -69,7 +69,7 @@ def consistency_check(
     """Measure the null-space content of b; consistent when it is negligible.
 
     null_norm is ||Q2^T b||; the system counts as consistent when it does not
-    exceed tol * max(||b||, 1).
+    exceed tol * ||b||.
     """
     return _consistency(decomp.q2, _sized(b, decomp.dim, "right-hand side"), tol)
 
@@ -79,4 +79,4 @@ def _consistency(
 ) -> ConsistencyReport:
     """ConsistencyReport of b against the null basis (Q2, or U2 of an SVD) of the range."""
     null_norm = float(np.linalg.norm(null_basis.T @ b))
-    return ConsistencyReport(null_norm <= tol * _scale(np.linalg.norm(b)), null_norm)
+    return ConsistencyReport(null_norm <= tol * float(np.linalg.norm(b)), null_norm)

@@ -14,11 +14,15 @@ process that imports that tree's ``src``; the two processes run side by side.
   ``save_matrix_market`` file;
 - ``read``: this checkout's ``read_mtx_files.py``, what the reader makes of
   those texts and of malformed bodies with every line break;
+- ``scale``: this checkout's ``scale_verdicts.py``, the rank, consistency and
+  symmetry verdicts and the solver outcomes on the golden problems scaled by
+  1e-12 to 1e12;
 - ``help <command>``: ``semikrylov <command> -h`` for each of the four
   commands, at 80 columns.
 
 One line per artifact reads ``<artifact>: equal`` or ``<artifact>: differs``.
-A golden, mtx or read difference names the cases or files that differ, and a
+A golden, mtx or read difference names the cases or files that differ, a
+scale difference names each case with the fields that differ in it, and a
 help difference is shown as a diff. The exit code is 0 when everything is
 equal, 1 when anything differs, and 2 when a tree fails to run.
 """
@@ -45,6 +49,11 @@ for command in sys.argv[1:]:
     texts[command] = text.getvalue()
 print(json.dumps(texts))
 """
+
+
+def _differing(old: dict, new: dict) -> list:
+    """The keys whose values differ between two JSON objects, sorted."""
+    return sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
 
 
 def _run_both(name, trees, outs, argv, stdout=True):
@@ -82,9 +91,10 @@ def compare(parent: Path, change: Path, seeds: list[int], cycles: int) -> bool:
                    "--seeds", *map(str, seeds), "--cycles", str(cycles)])
         _run_both("mtx", trees, outs("mtx"), [str(HERE / "write_mtx_files.py")])
         _run_both("read", trees, outs("read"), [str(HERE / "read_mtx_files.py")])
+        _run_both("scale", trees, outs("scale"), [str(HERE / "scale_verdicts.py")])
         _run_both("help", trees, outs("help"), ["-c", HELP, *COMMANDS])
 
-        for name in ("golden", "replay", "unrecorded", "mtx", "read"):
+        for name in ("golden", "replay", "unrecorded", "mtx", "read", "scale"):
             same = filecmp.cmp(*outs(name), shallow=False)
             equal &= same
             print(f"{name}: {'equal' if same else 'differs'}")
@@ -92,9 +102,11 @@ def compare(parent: Path, change: Path, seeds: list[int], cycles: int) -> bool:
                 old, new = (json.loads(path.read_text()) for path in outs(name))
                 names = [a["name"] for a, b in zip(old, new) if a != b]
                 print("  cases: " + ", ".join(names))
-            if name in ("mtx", "read") and not same:
+            if name in ("mtx", "read", "scale") and not same:
                 old, new = (json.loads(path.read_text()) for path in outs(name))
-                keys = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+                keys = _differing(old, new)
+                if name == "scale":
+                    keys = [f"{k} ({', '.join(_differing(old.get(k, {}), new.get(k, {})))})" for k in keys]
                 print(f"  {'files' if name == 'mtx' else 'cases'}: " + ", ".join(keys))
         old, new = (json.loads(path.read_text()) for path in outs("help"))
         for command in COMMANDS:

@@ -1,0 +1,75 @@
+"""Print the oracle's verdicts and the solvers' outcomes on scaled golden problems, as JSON.
+
+Run with ``PYTHONPATH=<tree>/src python tests/data/scale_verdicts.py``. For
+each of the four spec families of ``make_golden_reports.py`` (``spsd``,
+``gap``, ``tall`` and ``wide``) and each ``c`` in 1e-12, 1e-9, 1e-6, 1, 1e6
+and 1e12, the case ``<family>/<c>`` records, on ``(c A, c b)``:
+
+- ``rank``: the numerical rank at the default ``rank_tol``, from the
+  eigendecomposition for an spsd family and the SVD otherwise;
+- ``consistent``: the consistency verdict on ``c b`` against that oracle's
+  null basis;
+- ``symmetric``: whether ``c A`` passes ``check_symmetric`` (``null`` for a
+  rectangular family);
+- one entry per method (cg for an spsd family, cgls and cgne for all):
+  the stop reason, the iteration count and ``norm(x - x†) / norm(x†)`` of
+  the library solve from a zero start, with ``x†`` the factor-exact
+  minimum-norm solution of the unscaled problem.
+
+Every golden input is at unit scale, so this is what compares the scale
+behaviour of two checkouts (see ``compare_trees.py``).
+"""
+
+import json
+
+import numpy as np
+
+from make_golden_reports import SPECS
+from semikrylov.genmat import ProblemSpec, make_problem
+from semikrylov.linalg import check_symmetric, svd, symmetric_eig
+from semikrylov.oracle import _consistency
+from semikrylov.solvers import cg_solve, cgls_solve, cgne_solve
+
+SCALES = (1e-12, 1e-9, 1e-6, 1.0, 1e6, 1e12)
+SOLVERS = {"cg": cg_solve, "cgls": cgls_solve, "cgne": cgne_solve}
+
+
+def _passes_symmetry(a) -> bool:
+    try:
+        check_symmetric(a)
+    except ValueError:
+        return False
+    return True
+
+
+def _case(problem, spsd: bool, c: float) -> dict:
+    a, b = c * problem.a, c * problem.b
+    if spsd:
+        dec = symmetric_eig(a)
+        rank, null_basis = dec.rank, dec.q2
+    else:
+        sd = svd(a)
+        rank, null_basis = sd.rank, sd.u2
+    case = {"rank": rank, "consistent": _consistency(null_basis, b).consistent,
+            "symmetric": _passes_symmetry(a) if spsd else None}
+    xdag = problem.xstar_reference
+    for method in ("cg", "cgls", "cgne") if spsd else ("cgls", "cgne"):
+        start = np.zeros(a.shape[0] if method == "cgne" else a.shape[1])
+        trace = SOLVERS[method](a, b, start)
+        error = float(np.linalg.norm(trace.x - xdag) / np.linalg.norm(xdag))
+        case[method] = [trace.stop_reason, trace.iterations, error]
+    return case
+
+
+def scale_verdicts() -> dict:
+    """{"<family>/<c>": the case's verdicts and outcomes} over every family and scale."""
+    cases = {}
+    for family, payload in SPECS.items():
+        problem = make_problem(ProblemSpec.from_dict(payload))
+        for c in SCALES:
+            cases[f"{family}/{c!r}"] = _case(problem, payload["kind"] == "spsd", c)
+    return cases
+
+
+if __name__ == "__main__":
+    print(json.dumps(scale_verdicts(), indent=1, sort_keys=True))

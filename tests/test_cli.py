@@ -174,8 +174,6 @@ def test_tolerance_must_be_finite_and_positive(spsd_problem, capsys, command, fl
     assert not (tmp_path / "report.json").exists()
 
 
-@pytest.mark.xfail(strict=True, reason="matches_oracle divides by max(norm(x_expected), 1): with "
-                   "norm(x_expected) = 5.7e-7 it reports 2.9e-7 for a true relative error of 0.51")
 def test_matches_oracle_with_a_small_solution(tmp_path):
     spectrum = tuple(np.geomspace(1.0, 1e-2, 30)) + (0.0,) * 10
     problem = make_problem(ProblemSpec("spsd", (40, 40), spectrum, seed=2))
@@ -370,8 +368,11 @@ class TestGenerateCommand:
 
     @pytest.mark.parametrize(
         "payload",
-        [[1, 2], "spsd", {"dims": 5}, {"spectrum": None}, {"consistency_gap": None}],
-        ids=["list", "string", "int-dims", "null-spectrum", "null-gap"],
+        [[1, 2], "spsd", {"dims": 5}, {"spectrum": None}, {"consistency_gap": None},
+         {"dims": [12.5, 12.5]}, {"dims": [True, True], "spectrum": [1.0]}, {"seed": 71.9},
+         {"seed": "71"}, {"consistency_gap": False}, {"spectrum": ["1.0"] * 12}],
+        ids=["list", "string", "int-dims", "null-spectrum", "null-gap", "float-dims", "bool-dims",
+             "float-seed", "string-seed", "bool-gap", "string-spectrum"],
     )
     def test_malformed_spec_exits_2(self, tmp_path, capsys, payload):
         spec_path = _spec_file(tmp_path)

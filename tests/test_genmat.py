@@ -54,6 +54,15 @@ class TestProblemSpec:
         with pytest.raises(ValueError):
             ProblemSpec.from_dict({"kind": "spsd", "dims": [2, 2], "spectrum": [1.0, 0.0]})
 
+    @pytest.mark.parametrize("field, value", [
+        ("dims", [2.0, 2.0]), ("dims", [True, True]), ("seed", 1.5), ("seed", "1"), ("seed", True),
+        ("spectrum", ["1", "0"]), ("consistency_gap", False), ("consistency_gap", "0.1"),
+    ])
+    def test_a_field_of_another_json_type_is_named_not_coerced(self, field, value):
+        payload = {"kind": "spsd", "dims": [2, 2], "spectrum": [1.0, 0.0], "seed": 1, field: value}
+        with pytest.raises(ValueError, match=f"^problem spec field '{field}' "):
+            ProblemSpec.from_dict(payload)
+
 
 class TestMakeProblem:
     def test_deterministic_outputs(self):

@@ -97,8 +97,8 @@ def test_krylov_traces_replay_is_deterministic():
 def test_compare_trees_finds_a_changed_golden_output(tmp_path):
     """The checkout against itself, then against a copy whose one changed line alters reports."""
     root = DATA.parent.parent
-    artifacts = ["golden", "replay", "unrecorded", "mtx", "read", "help solve", "help diagnose",
-                 "help verify-bounds", "help generate"]
+    artifacts = ["golden", "replay", "unrecorded", "mtx", "read", "scale", "help solve",
+                 "help diagnose", "help verify-bounds", "help generate"]
 
     def compare(change):
         argv = [sys.executable, str(DATA / "compare_trees.py"), str(root), str(change),

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semikrylov import linalg
+from semikrylov import linalg, oracle
 from semikrylov.cli import run_command
 from semikrylov.genmat import ProblemSpec, make_problem
 from semikrylov.linalg import (
     ConvergenceError,
     as_matrix,
     as_vector,
+    check_symmetric,
     matvec,
     svd,
     symmetric_eig,
@@ -297,3 +298,31 @@ def test_shape_rule_at_every_entry_point(call, message):
     with pytest.raises(ValueError) as excinfo:
         call()
     assert str(excinfo.value) == message
+
+
+_SCALED_SPSD = tuple(np.geomspace(1.0, 1e-2, 20)) + (0.0,) * 20
+_SCALED_GAP = make_problem(ProblemSpec("spsd", (40, 40), _SCALED_SPSD, seed=5, consistency_gap=1e-3))
+_SCALED_TWIN = make_problem(ProblemSpec("spsd", (40, 40), _SCALED_SPSD, seed=5))  # the same A, b in range
+_SCALED_RECT = make_problem(ProblemSpec(
+    "rectangular", (50, 40), tuple(np.geomspace(1.0, 1e-2, 30)) + (0.0,) * 10, seed=5))
+
+
+@given(st.floats(-12.0, 12.0))
+@example(-12.0)
+@settings(max_examples=50, deadline=None)
+def test_oracle_verdicts_do_not_depend_on_scale(u):
+    """The rank cut, the consistency test and the symmetry test give the same
+    verdicts on c A (and c b) for every c in 10^[-12, 12] as at c = 1."""
+    c = 10.0**u
+    a = c * _SCALED_GAP.a
+    dec, sd = symmetric_eig(a), svd(c * _SCALED_RECT.a)
+    assert (dec.rank, sd.rank) == (20, 30)
+    assert not consistency_check(dec, c * _SCALED_GAP.b).consistent
+    assert consistency_check(dec, c * _SCALED_TWIN.b).consistent
+    assert oracle._consistency(sd.u2, c * _SCALED_RECT.b).consistent
+
+    check_symmetric(a)
+    upper = np.triu(np.ones_like(a), 1)
+    check_symmetric(c * (_SCALED_GAP.a + 1e-14 * np.max(np.abs(_SCALED_GAP.a)) * upper))
+    with pytest.raises(ValueError, match="not symmetric"):
+        check_symmetric(c * (_SCALED_GAP.a + 1e-6 * np.max(np.abs(_SCALED_GAP.a)) * upper))

@@ -286,14 +286,14 @@ def _right_or_not_converged(trace, reference):
 class TestScaleInvariance:
     """A run must give the right answer, or not report converged, whatever the scale.
 
-    Today the stop tests and the rank cut take their tolerances relative to
-    max(size, 1), not to the size, so each of these runs reports a wrong answer
-    as converged, or never stops. They are strict xfails: they must keep
-    failing until those rules are scale-invariant, and then pass as they are.
+    Today the stop tests take their tolerances relative to max(size, 1), not to
+    the size, so each of these runs reports a wrong answer as converged, or never
+    stops. They are strict xfails: they must keep failing until those rules are
+    scale-invariant, and then pass as they are.
     """
 
-    @pytest.mark.xfail(strict=True, reason="rank cut and cg stop test are floored at 1: "
-                       "at c = 1e-13, rank 0 and converged after 0 iterations, error 1.0")
+    @pytest.mark.xfail(strict=True, reason="cg stop test is floored at 1: at c = 1e-13, "
+                       "converged after 0 iterations, error 1.0")
     def test_cg_with_a_and_b_scaled_together(self):
         spectrum = tuple(np.geomspace(1.0, 1e-2, 20)) + (0.0,) * 20
         problem = make_problem(ProblemSpec("spsd", (40, 40), spectrum, seed=5))
