@@ -67,9 +67,9 @@ def decomposed_cg_run(decomp: SpectralDecomposition, b, x0, iters: int,
     diag(Lambda_r, 0); the full matrix is never applied. The null block of
     the operator is zero, so r2 - alpha * 0 leaves the null residual at b2
     bit for bit. Stops early with stop_reason "breakdown" when the curvature
-    denominator (p1, Lambda_r p1) degenerates relative to ||p||^2, exactly
-    as the plain solver would; the trace then records the iterations
-    completed up to that point.
+    (p1, Lambda_r p1) falls to breakdown_tol * ||lambdas|| * ||p||^2 or
+    below, the plain solver's test with ||lambdas||, which is ||A||_F up to
+    rounding; the trace then records the iterations completed up to that point.
     """
     b = _sized(b, decomp.dim, "right-hand side")
     x0 = _sized(x0, decomp.dim, "initial guess")
@@ -78,20 +78,18 @@ def decomposed_cg_run(decomp: SpectralDecomposition, b, x0, iters: int,
 
     rank = decomp.rank
     lam_full = np.concatenate([decomp.lambdas_r, np.zeros(decomp.dim - rank)])
-    parts_b = split(decomp, b)
+    parts_b, parts_x0 = split(decomp, b), split(decomp, x0)
     b1, b2 = parts_b.range_part, parts_b.null_part
-    parts_x0 = split(decomp, x0)
     x = np.concatenate([parts_x0.range_part, parts_x0.null_part])
     r = np.concatenate([b1 - decomp.lambdas_r * parts_x0.range_part, b2])
 
     # stop = -1 never fires: the run does exactly ``iters`` iterations unless it breaks down
-    run = _cg_recurrence(lambda p: lam_full * p, x, r, iters, -1.0, breakdown_tol, True)
+    floor = breakdown_tol * float(np.linalg.norm(decomp.lambdas))
+    run = _cg_recurrence(lambda p: lam_full * p, x, r, iters, -1.0, floor, True)
     xs, rs, ps = run.iterates, run.residuals, run.directions
     stop_reason = BREAKDOWN if run.stop_reason == BREAKDOWN else COMPLETED
-    return DecomposedTrace(
-        xs[:, :rank], rs[:, :rank], ps[:, :rank], xs[:, rank:], rs[:, rank:], ps[:, rank:],
-        run.alphas, run.betas, b1, b2, stop_reason,
-    )
+    return DecomposedTrace(xs[:, :rank], rs[:, :rank], ps[:, :rank], xs[:, rank:], rs[:, rank:],
+                           ps[:, rank:], run.alphas, run.betas, b1, b2, stop_reason)
 
 
 @dataclass(frozen=True)

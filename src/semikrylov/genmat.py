@@ -77,6 +77,12 @@ class ProblemSpec:
     x0_mode: str = "zero"
 
     def __post_init__(self):
+        for name, number in zip(("dims", "seed", "spectrum", "consistency_gap"), (int, int, float, float)):
+            entries = getattr(self, name) if name in ("dims", "spectrum") else [getattr(self, name)]
+            kinds = (int, np.integer) + ((float, np.floating) if number is float else ())
+            if not isinstance(entries, (list, tuple, np.ndarray)) or any(
+                    isinstance(v, bool) or not isinstance(v, kinds) for v in entries):
+                raise ValueError(f"problem spec field {name!r} must hold {number.__name__} values")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "spectrum", tuple(float(s) for s in self.spectrum))
         object.__setattr__(self, "consistency_gap", float(self.consistency_gap))
@@ -125,10 +131,6 @@ class ProblemSpec:
         """Build a spec from its JSON form; a non-object or a bad or mistyped field raises ValueError."""
         if not isinstance(d, dict):
             raise ValueError(f"problem spec must be an object, got {type(d).__name__}")
-        for name, number in zip(("dims", "seed", "spectrum", "consistency_gap"), (int, int, float, float)):
-            entries = d.get(name, []) if name in ("dims", "spectrum") else [d.get(name, 0)]
-            if not isinstance(entries, list) or any(type(v) not in (int, number) for v in entries):
-                raise ValueError(f"problem spec field {name!r} must hold {number.__name__} values")
         try:
             return cls(
                 kind=d["kind"],

@@ -53,9 +53,8 @@ def _check_tolerance(name: str, value: float) -> None:
 
 
 def _scale(size):
-    """max(size, 1), per entry for an array: the scale of a test whose reference can be zero."""
-    floored = np.maximum(size, 1.0)
-    return floored if floored.ndim else float(floored)
+    """max(size, 1) per entry: the size of the diagnose drifts and _block_devs, which can be zero."""
+    return np.maximum(size, 1.0)
 
 
 def check_symmetric(a: np.ndarray) -> None:

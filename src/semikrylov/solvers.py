@@ -11,9 +11,12 @@ module share one recurrence, ``_cg_recurrence``, over an operator given as
 a callable. CGLS keeps its own loop in the r/s form, which is numerically
 preferable to CG on A^T A (Bjorck 1996).
 
-The solvers stop with stop_reason "breakdown" when the curvature test
-(A p, p) <= breakdown_tol ||p||^2 (||A p||^2 for CGLS) fires, rather than
-divide. It names the test, not a cause: p nearing the null space ends
+Each stop test is relative to a size of the run, with no floor, so a run on
+(c A, c b) stops as the run on (A, b) does. "converged": ||r_i|| <= rel_tol
+||b|| (||A^T r_i|| <= rel_tol ||A^T b||, CGLS), with the start's value for a
+zero size. "breakdown", not a division: (A p, p) <= breakdown_tol ||A||_F
+||p||^2, or ||A^T p||^2 (CGNE), ||A p||^2 (CGLS) <= breakdown_tol ||A||_F^2
+||p||^2. It names the test, not a cause: p nearing the null space ends
 inconsistent runs, and consistent ones once rounding grows their null part.
 
 All three always record the per-iteration scalars (step sizes and residual
@@ -37,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import _check_tolerance, _scale, _sized, _symmetric, as_matrix
+from .linalg import _check_tolerance, _sized, _symmetric, as_matrix
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
@@ -48,10 +51,9 @@ BREAKDOWN = "breakdown"
 class SolverConfig:
     """Loop control shared by the three solvers.
 
-    max_iters defaults to 10x the number of unknowns when left as None.
-    rel_tol scales the stopping test relative to the right-hand side,
-    breakdown_tol guards the curvature denominator, and record_trace turns
-    the per-iteration vector history on or off (scalars are always kept).
+    max_iters defaults to 10x the number of unknowns when left as None;
+    rel_tol and breakdown_tol set the tests of the module notes; record_trace
+    turns the per-iteration vector history on or off (scalars are always kept).
     """
 
     max_iters: int | None = None
@@ -143,11 +145,11 @@ def _finish(bufs, x, alphas, j: int, record: bool):
     return xs[-1].copy(), *(h[:rows] for h in (xs, *bufs))
 
 
-def _cg_recurrence(apply, x, r, cap: int, stop: float, breakdown_tol: float, record: bool):
+def _cg_recurrence(apply, x, r, cap: int, stop: float, floor: float, record: bool):
     """CG on the symmetric positive semidefinite operator ``apply`` from x, with r = b - A x.
 
     Stops with "converged" once ||r_i|| <= stop, "max_iters" after ``cap``
-    iterations, or "breakdown" when (A p_i, p_i) <= breakdown_tol * ||p_i||^2.
+    iterations, or "breakdown" when (A p_i, p_i) <= floor * ||p_i||^2.
     Returns a SolveTrace labelled "cg", its histories written as the module
     notes describe.
     """
@@ -167,7 +169,7 @@ def _cg_recurrence(apply, x, r, cap: int, stop: float, breakdown_tol: float, rec
             break
         ap = apply(p)
         curvature = float(p.dot(ap))
-        if curvature <= breakdown_tol * float(p.dot(p)):
+        if curvature <= floor * float(p.dot(p)):
             stop_reason = BREAKDOWN
             break
         alpha = rr / curvature
@@ -188,11 +190,12 @@ def _cg_recurrence(apply, x, r, cap: int, stop: float, breakdown_tol: float, rec
     return SolveTrace("cg", stop_reason, x, alphas, betas, res_norms, xs, rs, ps)
 
 
-def _cg_from(apply, b, start, cfg: SolverConfig) -> SolveTrace:
-    """_cg_recurrence from start, stopping once ||r_i|| <= rel_tol * max(||b||, 1)."""
-    stop = cfg.rel_tol * _scale(np.linalg.norm(b))
+def _cg_from(apply, b, start, size: float, cfg: SolverConfig) -> SolveTrace:
+    """_cg_recurrence from start with the module notes' tests; ``size`` is the operator's ||.||_F."""
+    r = b - apply(start)
+    stop = cfg.rel_tol * (float(np.linalg.norm(b)) or float(np.linalg.norm(r)))
     cap = cfg.iteration_cap(b.shape[0])
-    return _cg_recurrence(apply, start, b - apply(start), cap, stop, cfg.breakdown_tol, cfg.record_trace)
+    return _cg_recurrence(apply, start, r, cap, stop, cfg.breakdown_tol * size, cfg.record_trace)
 
 
 def cg_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
@@ -210,22 +213,20 @@ def cg_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
     Returns
     -------
     SolveTrace
-        stop_reason is "converged" once ||r_i|| <= rel_tol * max(||b||, 1),
-        "max_iters" at the iteration cap, or "breakdown" when the curvature
-        (A p_i, p_i) falls to breakdown_tol * ||p_i||^2 or below.
+        stop_reason is "converged", "max_iters" at the iteration cap, or
+        "breakdown", on the tests of the module notes.
     """
     cfg = cfg or SolverConfig()
     a = _symmetric(a)
-    n = a.shape[0]
-    return _cg_from(a.dot, _sized(b, n, "right-hand side"), _sized(x0, n, "initial guess"), cfg)
+    b, x0 = _sized(b, len(a), "right-hand side"), _sized(x0, len(a), "initial guess")
+    return _cg_from(a.dot, b, x0, float(np.linalg.norm(a)), cfg)
 
 
 def cgls_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
     """CG on the normal equations A^T A x = A^T b, kept as two matvecs.
 
-    Tracks gamma_i = ||A^T r_i||^2 and stops once it reaches
-    (rel_tol * max(||A^T b||, 1))^2; ||q_i||^2 <= breakdown_tol * ||p_i||^2
-    (a direction with numerically zero image) stops with "breakdown".
+    Tracks gamma_i = ||A^T r_i||^2 against the square of the module notes' stop
+    threshold; "breakdown" means a direction with numerically zero image.
     Works for any m x n matrix, full rank or not.
     """
     cfg = cfg or SolverConfig()
@@ -234,12 +235,12 @@ def cgls_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
     b = _sized(b, m, "right-hand side")
     x0 = _sized(x0, n, "initial guess")
 
-    cap = cfg.iteration_cap(n)
-    stop = (cfg.rel_tol * _scale(np.linalg.norm(a.T @ b))) ** 2
-
     at = a.T
     r = b - a @ x0
     s = at.dot(r)
+    cap = cfg.iteration_cap(n)
+    stop = (cfg.rel_tol * (float(np.linalg.norm(at @ b)) or float(np.linalg.norm(s)))) ** 2
+    floor = cfg.breakdown_tol * float(np.linalg.norm(a)) ** 2
     P, R, S = np.array([s]), np.array([r]), np.array([s])
     x, p, j = x0, s, 0
     gamma = float(s.dot(s))
@@ -258,7 +259,7 @@ def cgls_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
             break
         q = a.dot(p)
         qq = float(q.dot(q))
-        if qq <= cfg.breakdown_tol * float(p.dot(p)):
+        if qq <= floor * float(p.dot(p)):
             stop_reason = BREAKDOWN
             break
         alpha = gamma / qq
@@ -296,6 +297,6 @@ def cgne_solve(a, b, y0, cfg: SolverConfig | None = None) -> SolveTrace:
     b = _sized(b, m, "right-hand side")
     y0 = _sized(y0, m, "initial guess")
     at = a.T
-    run = _cg_from(lambda p: a.dot(at.dot(p)), b, y0, cfg)
+    run = _cg_from(lambda p: a.dot(at.dot(p)), b, y0, float(np.linalg.norm(a)) ** 2, cfg)
     y, ys = run.x, run.iterates
     return replace(run, method="cgne", x=at @ y, iterates=ys @ a, y=y, y_iterates=ys)

@@ -22,8 +22,10 @@ process that imports that tree's ``src``; the two processes run side by side.
 
 One line per artifact reads ``<artifact>: equal`` or ``<artifact>: differs``.
 A golden, mtx or read difference names the cases or files that differ, a
-scale difference names each case with the fields that differ in it, and a
-help difference is shown as a diff. The exit code is 0 when everything is
+scale difference names each case with the fields that differ in it, a
+replay or unrecorded difference names each operation kind (solver, for
+unrecorded) with its count of differing records and, per tree, its stop
+reasons and its iteration total, and a help difference is shown as a diff. The exit code is 0 when everything is
 equal, 1 when anything differs, and 2 when a tree fails to run.
 """
 
@@ -49,11 +51,44 @@ for command in sys.argv[1:]:
     texts[command] = text.getvalue()
 print(json.dumps(texts))
 """
+# writes, for each record of the replay pickle PATH, [kind, digest, stop reason, iterations]
+# to PATH.json
+RECORDS = """import hashlib, json, pickle, sys
+rows = []
+with open(sys.argv[1], "rb") as pickled:
+    for record in pickle.load(pickled):
+        *_, kind, result = record  # (seed, cycle, kind, result) or (solver, trace)
+        trace = result[0] if isinstance(result, tuple) else result
+        digest = hashlib.sha256(pickle.dumps(record, protocol=4)).hexdigest()
+        rows.append([kind, digest, trace.stop_reason, trace.iterations])
+with open(sys.argv[1] + ".json", "w") as out:
+    json.dump(rows, out)
+"""
 
 
 def _differing(old: dict, new: dict) -> list:
     """The keys whose values differ between two JSON objects, sorted."""
     return sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+
+
+def _kinds(old: list, new: list) -> list:
+    """One line per operation kind with records that differ between two RECORDS outputs."""
+    kinds = {}
+    for tree, rows in enumerate((old, new)):
+        for kind, _, reason, iterations in rows:
+            entry = kinds.setdefault(kind, {"differ": 0, "reasons": ({}, {}), "iterations": [0, 0]})
+            entry["reasons"][tree][reason] = entry["reasons"][tree].get(reason, 0) + 1
+            entry["iterations"][tree] += iterations
+    for a, b in zip(old, new):
+        kinds[a[0]]["differ"] += a != b
+    lines = []
+    for kind, entry in sorted(kinds.items()):
+        if entry["differ"]:
+            reasons = [", ".join(f"{r} x{n}" for r, n in sorted(tree.items())) for tree in entry["reasons"]]
+            lines.append(f"{kind}: {entry['differ']} of {sum(entry['reasons'][0].values())} records differ;"
+                         f" stop reasons {reasons[0]} / {reasons[1]};"
+                         f" iterations {entry['iterations'][0]} / {entry['iterations'][1]}")
+    return lines
 
 
 def _run_both(name, trees, outs, argv, stdout=True):
@@ -102,6 +137,10 @@ def compare(parent: Path, change: Path, seeds: list[int], cycles: int) -> bool:
                 old, new = (json.loads(path.read_text()) for path in outs(name))
                 names = [a["name"] for a, b in zip(old, new) if a != b]
                 print("  cases: " + ", ".join(names))
+            if name in ("replay", "unrecorded") and not same:
+                _run_both(name, trees, outs(name), ["-c", RECORDS, "{out}"], stdout=False)
+                old, new = (json.loads(Path(f"{path}.json").read_text()) for path in outs(name))
+                print("\n".join("  " + line for line in _kinds(old, new)))
             if name in ("mtx", "read", "scale") and not same:
                 old, new = (json.loads(path.read_text()) for path in outs(name))
                 keys = _differing(old, new)

@@ -57,11 +57,21 @@ class TestProblemSpec:
     @pytest.mark.parametrize("field, value", [
         ("dims", [2.0, 2.0]), ("dims", [True, True]), ("seed", 1.5), ("seed", "1"), ("seed", True),
         ("spectrum", ["1", "0"]), ("consistency_gap", False), ("consistency_gap", "0.1"),
+        # as the Python API is given them
+        ("dims", (2.5, 2.5)), ("dims", (np.bool_(True), np.bool_(True))), ("dims", 2), ("seed", 1.9),
+        ("seed", np.float64(1.0)), ("spectrum", ("1", "0")), ("consistency_gap", np.bool_(False)),
     ])
     def test_a_field_of_another_json_type_is_named_not_coerced(self, field, value):
         payload = {"kind": "spsd", "dims": [2, 2], "spectrum": [1.0, 0.0], "seed": 1, field: value}
-        with pytest.raises(ValueError, match=f"^problem spec field '{field}' "):
-            ProblemSpec.from_dict(payload)
+        for build in (ProblemSpec.from_dict, lambda d: ProblemSpec(**d)):
+            with pytest.raises(ValueError, match=f"^problem spec field '{field}' "):
+                build(payload)
+
+    def test_numpy_scalars_are_taken_as_the_numbers_they_hold(self):
+        spec = ProblemSpec("spsd", (np.int64(2), np.uint8(2)), (np.float32(1.0), np.int64(0)),
+                           seed=np.uint64(3), consistency_gap=np.float64(0.0))
+        assert spec == ProblemSpec("spsd", (2, 2), (1.0, 0.0), seed=3)
+        assert ProblemSpec("spsd", (2, 2), np.array([1.0, 0.0]), seed=3) == spec
 
 
 class TestMakeProblem:

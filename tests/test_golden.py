@@ -8,6 +8,7 @@ only have to absorb rounding differences between BLAS builds.
 
 import importlib.util
 import pickle
+import re
 import shutil
 import subprocess
 import sys
@@ -95,7 +96,8 @@ def test_krylov_traces_replay_is_deterministic():
 
 
 def test_compare_trees_finds_a_changed_golden_output(tmp_path):
-    """The checkout against itself, then against a copy whose one changed line alters reports."""
+    """The checkout against itself, then against a copy with one changed line that alters reports,
+    then with a second that shortens the solver runs."""
     root = DATA.parent.parent
     artifacts = ["golden", "replay", "unrecorded", "mtx", "read", "scale", "help solve",
                  "help diagnose", "help verify-bounds", "help generate"]
@@ -120,3 +122,18 @@ def test_compare_trees_finds_a_changed_golden_output(tmp_path):
     assert lines[0] == "golden: differs"
     assert lines[1].startswith("  cases: solve_cg, ")
     assert lines[2:] == [f"{name}: equal" for name in artifacts[1:]]
+
+    # a looser default stop: the krylov_traces solves that converge do so sooner
+    solvers_py = copy / "src" / "semikrylov" / "solvers.py"
+    line = "    rel_tol: float = 1e-12\n"
+    assert solvers_py.read_text().count(line) == 1
+    solvers_py.write_text(solvers_py.read_text().replace(line, "    rel_tol: float = 1e-6\n"))
+    code, lines = compare(copy)
+    assert code == 1
+    replay, unrecorded = lines.index("replay: differs"), lines.index("unrecorded: differs")
+    assert lines[unrecorded + 1].startswith("  cg_solve: ")
+    pattern = r"  (\w+): \d+ of \d+ records differ; stop reasons (.+) / (.+); iterations (\d+) / (\d+)"
+    kinds = [re.fullmatch(pattern, line) for line in lines[replay + 1:unrecorded]]
+    assert "cg_consistent" in [kind[1] for kind in kinds if kind]
+    for kind in kinds:
+        assert kind and kind[2] == kind[3] and int(kind[5]) < int(kind[4]), kind

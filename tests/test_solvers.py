@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semikrylov import solvers
 from semikrylov.decomposition import decomposed_cg_run
@@ -286,14 +288,13 @@ def _right_or_not_converged(trace, reference):
 class TestScaleInvariance:
     """A run must give the right answer, or not report converged, whatever the scale.
 
-    Today the stop tests take their tolerances relative to max(size, 1), not to
-    the size, so each of these runs reports a wrong answer as converged, or never
-    stops. They are strict xfails: they must keep failing until those rules are
-    scale-invariant, and then pass as they are.
+    The stop and breakdown tests are relative to norm(b) and norm(A)_F, so the two
+    cg runs pass. The cgls run stagnates: norm(A^T r) levels off near 1.6e-11, above
+    its target rel_tol * norm(A^T b), so it never stops before the cap. It is a
+    strict xfail: it must keep failing until a stop rule reaches it, and then pass
+    as it is.
     """
 
-    @pytest.mark.xfail(strict=True, reason="cg stop test is floored at 1: at c = 1e-13, "
-                       "converged after 0 iterations, error 1.0")
     def test_cg_with_a_and_b_scaled_together(self):
         spectrum = tuple(np.geomspace(1.0, 1e-2, 20)) + (0.0,) * 20
         problem = make_problem(ProblemSpec("spsd", (40, 40), spectrum, seed=5))
@@ -302,8 +303,6 @@ class TestScaleInvariance:
             assert _right_or_not_converged(cg_solve(a, b, problem.x0), problem.xstar_reference), c
             assert symmetric_eig(a).rank == 20, c
 
-    @pytest.mark.xfail(strict=True, reason="cg stop test is floored at 1: converged with error "
-                       "8.9e-6 at c = 1e-6, and after 1 iteration with error 0.69 at c = 1e-12")
     def test_cg_with_only_b_scaled(self):
         spectrum = tuple(np.geomspace(1.0, 1e-2, 30)) + (0.0,) * 10
         problem = make_problem(ProblemSpec("spsd", (40, 40), spectrum, seed=2))
@@ -311,8 +310,8 @@ class TestScaleInvariance:
             trace = cg_solve(problem.a, c * problem.b, problem.x0)
             assert _right_or_not_converged(trace, c * problem.xstar_reference), c
 
-    @pytest.mark.xfail(strict=True, reason="cgls stop test is below what ||A^T r|| can reach: "
-                       "max_iters at the cap of 2000, error 1.2e-7")
+    @pytest.mark.xfail(strict=True, reason="cgls stagnates: ||A^T r|| levels off near 1.6e-11, "
+                       "above its target, so max_iters at the cap of 2000, error 1.2e-7")
     def test_cgls_stops_before_the_cap(self):
         spectrum = tuple(np.geomspace(1.0, 1e-3, 160)) + (0.0,) * 40
         problem = make_problem(ProblemSpec("rectangular", (220, 200), spectrum, seed=3))
@@ -321,7 +320,51 @@ class TestScaleInvariance:
         assert trace.iterations < SolverConfig().iteration_cap(200)
 
 
-def textbook_cg(apply, x, r, cap, stop, breakdown_tol=1e-14):
+_SCALE_SPECTRUM = tuple(np.geomspace(1.0, 1e-1, 20))
+_SCALE_SPSD, _SCALE_RECT = _SCALE_SPECTRUM + (0.0,) * 20, _SCALE_SPECTRUM + (0.0,) * 10
+# cg on a consistent and an inconsistent problem, cgls on an inconsistent and cgne on a consistent one
+_SCALED_RUNS = {
+    "cg": (cg_solve, make_problem(ProblemSpec("spsd", (40, 40), _SCALE_SPSD, seed=5))),
+    "cg gap": (cg_solve, make_problem(ProblemSpec("spsd", (40, 40), _SCALE_SPSD, seed=5,
+                                                  consistency_gap=1e-3))),
+    "cgls": (cgls_solve, make_problem(ProblemSpec("rectangular", (40, 30), _SCALE_RECT, seed=6,
+                                                  consistency_gap=1e-2))),
+    "cgne": (cgne_solve, make_problem(ProblemSpec("rectangular", (30, 40), _SCALE_RECT, seed=7))),
+}
+_ZERO_RHS = make_problem(ProblemSpec("spsd", (40, 40), _SCALE_SPSD, seed=5, x0_mode="random_full"))
+_ZERO_RHS_Q2 = symmetric_eig(_ZERO_RHS.a).q2
+
+
+def _scaled_runs(c):
+    """{name: the run on (c A, c b)} for each problem of _SCALED_RUNS, and cg on c A with a zero b."""
+    runs = {}
+    for name, (solve, problem) in _SCALED_RUNS.items():
+        start = np.zeros(problem.a.shape[0] if solve is cgne_solve else problem.a.shape[1])
+        runs[name] = solve(c * problem.a, c * problem.b, start, SolverConfig(record_trace=False))
+    runs["zero b"] = cg_solve(c * _ZERO_RHS.a, np.zeros(40), _ZERO_RHS.x0, SolverConfig(record_trace=False))
+    return runs
+
+
+@given(st.floats(-12.0, 12.0))
+@example(-12.0)
+@example(12.0)
+@settings(max_examples=50, deadline=None)
+def test_runs_do_not_depend_on_scale(u):
+    """On (c A, c b), c in 10^[-12, 12], each run stops for the reason it stops at c = 1, within one
+    iteration of it, and a converged run is within 1e-6 of x† (of the start's null part for a zero b)."""
+    base, runs = _scaled_runs(1.0), _scaled_runs(10.0**u)
+    assert runs["zero b"].stop_reason == "converged"
+    for name, run in runs.items():
+        assert run.stop_reason == base[name].stop_reason, name
+        assert abs(run.iterations - base[name].iterations) <= 1, name
+        if run.stop_reason == "converged":
+            # cg from x0 on a zero b ends at x0's null part
+            reference = (_ZERO_RHS_Q2 @ (_ZERO_RHS_Q2.T @ _ZERO_RHS.x0) if name == "zero b"
+                         else _SCALED_RUNS[name][1].xstar_reference)
+            assert _true_error(run.x, reference) <= 1e-6, name
+
+
+def textbook_cg(apply, x, r, cap, stop, floor):
     """CG as it reads in the textbook, with ``@`` and ``np.sqrt``, keeping every state."""
     p, rr = r, float(r @ r)
     run = {"alphas": [], "betas": [], "res_norms": [float(np.sqrt(rr))], "xs": [x], "rs": [r], "ps": [p]}
@@ -332,7 +375,7 @@ def textbook_cg(apply, x, r, cap, stop, breakdown_tol=1e-14):
             return run | {"stop_reason": "max_iters", "x": x}
         ap = apply(p)
         curvature = float(p @ ap)
-        if curvature <= breakdown_tol * float(p @ p):
+        if curvature <= floor * float(p @ p):
             return run | {"stop_reason": "breakdown", "x": x}
         alpha = rr / curvature
         x = x + alpha * p
@@ -349,7 +392,7 @@ def textbook_cg(apply, x, r, cap, stop, breakdown_tol=1e-14):
         run["ps"].append(p)
 
 
-def textbook_cgls(a, b, x, cap, stop, breakdown_tol=1e-14):
+def textbook_cgls(a, b, x, cap, stop, floor):
     """CGLS in the same form, with ``@``, ``np.linalg.norm`` and ``np.sqrt``."""
     r = b - a @ x
     s = a.T @ r
@@ -363,7 +406,7 @@ def textbook_cgls(a, b, x, cap, stop, breakdown_tol=1e-14):
             return run | {"stop_reason": "max_iters", "x": x}
         q = a @ p
         qq = float(q @ q)
-        if qq <= breakdown_tol * float(p @ p):
+        if qq <= floor * float(p @ p):
             return run | {"stop_reason": "breakdown", "x": x}
         alpha = gamma / qq
         x = x + alpha * p
@@ -410,7 +453,9 @@ class TestBitIdenticalToTextbookLoops:
         problem = _bit_problem("spsd", consistent)
         a, b, x0 = problem.a, problem.b, problem.x0
         trace = cg_solve(a, b, x0)
-        want = textbook_cg(lambda p: a @ p, x0, b - a @ x0, 10 * 30, 1e-12 * max(np.linalg.norm(b), 1.0))
+        r = b - a @ x0
+        want = textbook_cg(lambda p: a @ p, x0, r, 10 * 30, 1e-12 * (np.linalg.norm(b) or np.linalg.norm(r)),
+                           1e-14 * np.linalg.norm(a))
         assert trace.stop_reason == want["stop_reason"] == ("converged" if consistent else "breakdown")
         for got, key in [(trace.alphas, "alphas"), (trace.betas, "betas"), (trace.res_norms, "res_norms"),
                          (trace.x, "x"), (trace.iterates, "xs"), (trace.residuals, "rs"),
@@ -423,8 +468,9 @@ class TestBitIdenticalToTextbookLoops:
         a, b = problem.a, problem.b
         y0 = np.random.default_rng(45).standard_normal(a.shape[0])
         trace = cgne_solve(a, b, y0)
-        want = textbook_cg(lambda p: a @ (a.T @ p), y0, b - a @ (a.T @ y0), 10 * a.shape[0],
-                           1e-12 * max(np.linalg.norm(b), 1.0))
+        r = b - a @ (a.T @ y0)
+        want = textbook_cg(lambda p: a @ (a.T @ p), y0, r, 10 * a.shape[0],
+                           1e-12 * (np.linalg.norm(b) or np.linalg.norm(r)), 1e-14 * np.linalg.norm(a) ** 2)
         assert trace.stop_reason == want["stop_reason"] == ("converged" if consistent else "breakdown")
         ys = np.array(want["xs"])
         for got, wanted in [(trace.alphas, want["alphas"]), (trace.betas, want["betas"]),
@@ -438,7 +484,8 @@ class TestBitIdenticalToTextbookLoops:
         problem = _bit_problem("tall", consistent)
         a, b, x0 = problem.a, problem.b, problem.x0
         trace = cgls_solve(a, b, x0)
-        want = textbook_cgls(a, b, x0, 10 * 30, (1e-12 * max(np.linalg.norm(a.T @ b), 1.0)) ** 2)
+        stop = (1e-12 * (np.linalg.norm(a.T @ b) or np.linalg.norm(a.T @ (b - a @ x0)))) ** 2
+        want = textbook_cgls(a, b, x0, 10 * 30, stop, 1e-14 * np.linalg.norm(a) ** 2)
         assert trace.stop_reason == want["stop_reason"]
         assert trace.iterations > 10
         for got, key in [(trace.alphas, "alphas"), (trace.betas, "betas"), (trace.res_norms, "res_norms"),
@@ -459,7 +506,7 @@ class TestBitIdenticalToTextbookLoops:
         b1, b2 = split(dec, b).range_part, split(dec, b).null_part
         x1, x2 = split(dec, x0).range_part, split(dec, x0).null_part
         x, r = np.concatenate([x1, x2]), np.concatenate([b1 - dec.lambdas_r * x1, b2])
-        want = textbook_cg(lambda p: lam_full * p, x, r, iters, -1.0)
+        want = textbook_cg(lambda p: lam_full * p, x, r, iters, -1.0, 1e-14 * np.linalg.norm(dec.lambdas))
         assert dtrace.stop_reason == want["stop_reason"] == "breakdown"
         _bit_identical(dtrace.alphas, want["alphas"])
         _bit_identical(dtrace.betas, want["betas"])
@@ -526,22 +573,26 @@ def _eigenbasis_start(dec, b, x0):
 def _cg_case(problem, cfg):
     a, b, x0 = problem.a, problem.b, problem.x0
     cap = cfg.iteration_cap(len(b))
-    want = textbook_cg(lambda p: a @ p, x0, b - a @ x0, cap, cfg.rel_tol * max(np.linalg.norm(b), 1.0))
+    r = b - a @ x0
+    want = textbook_cg(lambda p: a @ p, x0, r, cap, cfg.rel_tol * (np.linalg.norm(b) or np.linalg.norm(r)),
+                       cfg.breakdown_tol * np.linalg.norm(a))
     return cg_solve(a, b, x0, cfg), want
 
 
 def _cgls_case(problem, cfg):
     a, b, x0 = problem.a, problem.b, problem.x0
-    stop = (cfg.rel_tol * max(np.linalg.norm(a.T @ b), 1.0)) ** 2
-    return cgls_solve(a, b, x0, cfg), textbook_cgls(a, b, x0, cfg.iteration_cap(a.shape[1]), stop)
+    stop = (cfg.rel_tol * (np.linalg.norm(a.T @ b) or np.linalg.norm(a.T @ (b - a @ x0)))) ** 2
+    floor = cfg.breakdown_tol * np.linalg.norm(a) ** 2
+    return cgls_solve(a, b, x0, cfg), textbook_cgls(a, b, x0, cfg.iteration_cap(a.shape[1]), stop, floor)
 
 
 def _cgne_case(problem, cfg):
     a, b = problem.a, problem.b
     y0 = np.random.default_rng(45).standard_normal(a.shape[0])
     cap = cfg.iteration_cap(a.shape[0])
-    want = textbook_cg(lambda p: a @ (a.T @ p), y0, b - a @ (a.T @ y0), cap,
-                       cfg.rel_tol * max(np.linalg.norm(b), 1.0))
+    r = b - a @ (a.T @ y0)
+    stop = cfg.rel_tol * (np.linalg.norm(b) or np.linalg.norm(r))
+    want = textbook_cg(lambda p: a @ (a.T @ p), y0, r, cap, stop, cfg.breakdown_tol * np.linalg.norm(a) ** 2)
     ys = np.array(want["xs"])
     # the trace's x and iterates are A^T y; its y fields are the textbook run's x fields
     return cgne_solve(a, b, y0, cfg), want | {"x": a.T @ want["x"], "xs": ys @ a, "y": want["x"], "ys": ys}
@@ -555,7 +606,7 @@ def _decomposed_case(problem, iters):
     dec = symmetric_eig(problem.a)
     apply, x, r = _eigenbasis_start(dec, problem.b, problem.x0)
     dtrace = decomposed_cg_run(dec, problem.b, problem.x0, iters)
-    want = textbook_cg(apply, x, r, iters, -1.0)
+    want = textbook_cg(apply, x, r, iters, -1.0, 1e-14 * np.linalg.norm(dec.lambdas))
     assert (dtrace.stop_reason, want["stop_reason"]) in [("completed", "max_iters"),
                                                          ("breakdown", "breakdown")]
     _bit_identical(dtrace.alphas, want["alphas"])
