@@ -30,8 +30,8 @@ import numpy as np
 from .bounds import cg_bound_verify, cgls_bound_verify, cgne_bound_verify
 from .decomposition import decomposed_cg_run, equivalence_check, null_direction_confinement
 from .genmat import ProblemSpec, make_problem
-from .linalg import (DEFAULT_RANK_TOL, ConvergenceError, _check_tolerance, _scale, _sized, svd,
-                     symmetric_eig)
+from .linalg import (DEFAULT_RANK_TOL, ConvergenceError, _check_tolerance, _relative_distance, _sized,
+                     svd, symmetric_eig)
 from .mmio import load_matrix_market, write_matrix_market
 from .oracle import consistency_check, pinv_apply_rect, pseudoinverse_apply
 from .report import RunReport, trace_csv_text, write_text_atomic
@@ -88,13 +88,6 @@ def _load_problem(args):
         raw["seed"] = _resolve_seed(raw.get("seed"), args)
     spec = ProblemSpec.from_dict(raw)
     return spec, make_problem(spec)
-
-
-def _relative_distance(x: np.ndarray, reference: np.ndarray, size: float) -> float:
-    """||x - reference|| / size; the largest over the rows of a 2-d x."""
-    diff = x - reference
-    dist = np.max(np.linalg.norm(diff, axis=1)) if diff.ndim == 2 else np.linalg.norm(diff)
-    return float(dist / size)
 
 
 def _row_norms(rows: np.ndarray, basis: np.ndarray) -> list:
@@ -216,7 +209,7 @@ def _cmd_diagnose(args) -> int:
     q2 = decomp.q2
     if cons.consistent:
         x2 = trace.iterates @ q2
-        drift = _relative_distance(x2, x2[0], _scale(np.linalg.norm(x2[0])))
+        drift = _relative_distance(x2, x2[0], np.max(np.linalg.norm(trace.iterates, axis=1)))
         checks["null_stagnation"] = drift <= args.tol
         diagnostics["max_null_drift"] = drift
     else:
@@ -224,8 +217,9 @@ def _cmd_diagnose(args) -> int:
         confinement = null_direction_confinement(replace(dtrace, p2=trace.directions @ q2), args.tol)
         checks["null_confinement"] = confinement.passed
         diagnostics["max_null_direction_sine"] = confinement.max_angle
-        r2 = trace.residuals[: equivalence.iterations_compared + 1] @ q2
-        residual_drift = _relative_distance(r2, dtrace.b2, _scale(np.linalg.norm(dtrace.b2)))
+        residuals = trace.residuals[: equivalence.iterations_compared + 1]
+        residual_drift = _relative_distance(residuals @ q2, dtrace.b2,
+                                            np.max(np.linalg.norm(residuals, axis=1)))
         checks["null_residual_constant"] = residual_drift <= args.tol
         diagnostics["max_null_residual_drift"] = residual_drift
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SpectralDecomposition, _scale, _sized
+from .linalg import SpectralDecomposition, _relative_distance, _sized
 from .oracle import split
 from .solvers import BREAKDOWN, SolverConfig, SolveTrace, _cg_recurrence
 
@@ -105,11 +105,6 @@ def _scalar_devs(a, b) -> np.ndarray:
     return np.divide(np.abs(a - b), denom, out=np.zeros_like(denom), where=denom > 0.0)
 
 
-def _block_devs(reference: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """Per-row ||reference_k - other_k|| / max(||reference_k||, 1)."""
-    return np.linalg.norm(reference - other, axis=1) / _scale(np.linalg.norm(reference, axis=1))
-
-
 def _healthy_states(trace: SolveTrace, dtrace: DecomposedTrace) -> int:
     """Number of leading states still governed by exact-arithmetic behavior.
 
@@ -141,9 +136,13 @@ def equivalence_check(
     to the shorter, and only over the healthy leading states (see
     ``_healthy_states``): with K comparable iterations, states 0..K are
     checked and scalars 0..K-1, so every referenced state is healthy
-    (beta_i looks one state ahead). Vector blocks deviate by
-    ||difference|| / max(||plain block||, 1); scalars relative to the
-    larger magnitude. Raises when the plain run leaves nothing to compare.
+    (beta_i looks one state ahead). Each block of a vector family v in
+    {x, r, p} deviates by max_k ||Q_i^T v_k - v'_{i,k}|| / max_k ||v_k||,
+    over the plain states 0..K compared: the largest state of the history,
+    which is what the rounding gap between two runs of one recurrence
+    grows with. Scalars deviate relative to the larger magnitude. Raises
+    when the plain run leaves nothing to compare; otherwise r_0 and x_1
+    (or x_0) are nonzero, so no size is zero.
     """
     if trace.method != "cg":
         raise ValueError("equivalence_check expects a plain cg trace")
@@ -159,16 +158,17 @@ def equivalence_check(
         raise ValueError(f"the plain run left nothing to compare: {cause}")
 
     k, states = iterations, iterations + 1
-    devs = [_scalar_devs(trace.alphas[:k] + trace.betas[:k], dtrace.alphas[:k] + dtrace.betas[:k])]
+    devs = [np.max(_scalar_devs(trace.alphas[:k] + trace.betas[:k], dtrace.alphas[:k] + dtrace.betas[:k]))]
     for plain, d1, d2 in (
         (trace.iterates, dtrace.x1, dtrace.x2),
         (trace.residuals, dtrace.r1, dtrace.r2),
         (trace.directions, dtrace.p1, dtrace.p2),
     ):
         plain = np.asarray(plain[:states])
-        devs.append(_block_devs(plain @ decomp.q1, d1[:states]))
-        devs.append(_block_devs(plain @ decomp.q2, d2[:states]))
-    max_dev = float(np.max(np.concatenate(devs), initial=0.0))
+        size = np.max(np.linalg.norm(plain, axis=1))  # positive: the run took a step
+        devs.append(_relative_distance(plain @ decomp.q1, d1[:states], size))
+        devs.append(_relative_distance(plain @ decomp.q2, d2[:states], size))
+    max_dev = float(np.max(devs))
     return EquivalenceReport(max_dev, iterations, max_dev <= tol)
 
 

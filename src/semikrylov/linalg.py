@@ -52,9 +52,11 @@ def _check_tolerance(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
-def _scale(size):
-    """max(size, 1) per entry: the size of the diagnose drifts and _block_devs, which can be zero."""
-    return np.maximum(size, 1.0)
+def _relative_distance(x: np.ndarray, reference: np.ndarray, size: float) -> float:
+    """||x - reference|| / size; the largest over the rows of a 2-d x."""
+    diff = x - reference
+    dist = np.max(np.linalg.norm(diff, axis=1)) if diff.ndim == 2 else np.linalg.norm(diff)
+    return float(dist / size)
 
 
 def check_symmetric(a: np.ndarray) -> None:

@@ -15,8 +15,8 @@ process that imports that tree's ``src``; the two processes run side by side.
 - ``read``: this checkout's ``read_mtx_files.py``, what the reader makes of
   those texts and of malformed bodies with every line break;
 - ``scale``: this checkout's ``scale_verdicts.py``, the rank, consistency and
-  symmetry verdicts and the solver outcomes on the golden problems scaled by
-  1e-12 to 1e12;
+  symmetry verdicts, the solver outcomes and, on the spsd problems,
+  ``diagnose``'s outcome on the golden problems scaled by 1e-12 to 1e12;
 - ``help <command>``: ``semikrylov <command> -h`` for each of the four
   commands, at 80 columns.
 

@@ -14,19 +14,27 @@ and 1e12, the case ``<family>/<c>`` records, on ``(c A, c b)``:
 - one entry per method (cg for an spsd family, cgls and cgne for all):
   the stop reason, the iteration count and ``norm(x - x†) / norm(x†)`` of
   the library solve from a zero start, with ``x†`` the factor-exact
-  minimum-norm solution of the unscaled problem.
+  minimum-norm solution of the unscaled problem;
+- ``diagnose`` (spsd families only): the exit code, the ``checks``, and
+  ``max_deviation``, ``iterations_compared`` and the null drift
+  (``max_null_drift`` for a consistent family, ``max_null_residual_drift``
+  for ``gap``) of ``semikrylov diagnose --iters 6`` from a zero start.
 
 Every golden input is at unit scale, so this is what compares the scale
 behaviour of two checkouts (see ``compare_trees.py``).
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from make_golden_reports import SPECS
+from semikrylov.cli import run_command
 from semikrylov.genmat import ProblemSpec, make_problem
 from semikrylov.linalg import check_symmetric, svd, symmetric_eig
+from semikrylov.mmio import save_matrix_market
 from semikrylov.oracle import _consistency
 from semikrylov.solvers import cg_solve, cgls_solve, cgne_solve
 
@@ -40,6 +48,20 @@ def _passes_symmetry(a) -> bool:
     except ValueError:
         return False
     return True
+
+
+def _diagnose(a, b) -> list:
+    """[exit code, checks, max_deviation, iterations_compared, null drift] of diagnose on (a, b)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_matrix_market(tmp / "a.mtx", a)
+        save_matrix_market(tmp / "b.mtx", b.reshape(-1, 1))
+        code = run_command(["diagnose", "--matrix", str(tmp / "a.mtx"), "--rhs", str(tmp / "b.mtx"),
+                            "--iters", "6", "--out", str(tmp / "report.json")])
+        report = json.loads((tmp / "report.json").read_text())
+    found = report["diagnostics"]
+    drift = found.get("max_null_drift", found.get("max_null_residual_drift"))
+    return [code, report["checks"], found["max_deviation"], found["iterations_compared"], drift]
 
 
 def _case(problem, spsd: bool, c: float) -> dict:
@@ -58,6 +80,8 @@ def _case(problem, spsd: bool, c: float) -> dict:
         trace = SOLVERS[method](a, b, start)
         error = float(np.linalg.norm(trace.x - xdag) / np.linalg.norm(xdag))
         case[method] = [trace.stop_reason, trace.iterations, error]
+    if spsd:
+        case["diagnose"] = _diagnose(a, b)
     return case
 
 

@@ -1,8 +1,14 @@
 import dataclasses
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from semikrylov import cli, decomposition
+from semikrylov.cli import DIAGNOSE_TOL, run_command
 from semikrylov.decomposition import (
     decomposed_cg_run,
     equivalence_check,
@@ -10,7 +16,11 @@ from semikrylov.decomposition import (
 )
 from semikrylov.genmat import ProblemSpec, make_problem
 from semikrylov.linalg import symmetric_eig
+from semikrylov.mmio import save_matrix_market
+from semikrylov.report import RunReport
 from semikrylov.solvers import SolverConfig, cg_solve
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def reference_cg_on_diagonal(lam, b1, iters):
@@ -138,6 +148,104 @@ class TestEquivalenceCheck:
             report = equivalence_check(trace, dtrace, dec, 1e-8)
             assert report.passed, (seed, gap, report.max_deviation)
             assert report.iterations_compared >= 5
+
+    @pytest.mark.parametrize("gap", [0.0, 0.5])
+    def test_a_scaled_eigenbasis_operator_fails(self, monkeypatch, gap):
+        spec = ProblemSpec("spsd", (30, 30), tuple(np.geomspace(1, 1e-2, 20)) + (0.0,) * 10,
+                           seed=100, consistency_gap=gap)
+        problem = make_problem(spec)
+        dec = symmetric_eig(problem.a)
+        trace = cg_solve(problem.a, problem.b, problem.x0, SolverConfig(max_iters=20))
+
+        def check():
+            return equivalence_check(trace, decomposed_cg_run(dec, problem.b, problem.x0, 20), dec,
+                                     DIAGNOSE_TOL)
+
+        assert check().passed
+        recurrence = decomposition._cg_recurrence
+        monkeypatch.setattr(decomposition, "_cg_recurrence",
+                            lambda apply, *args: recurrence(lambda p: (1.0 + 1e-7) * apply(p), *args))
+        assert not check().passed
+
+    @pytest.mark.parametrize("seed, cycle, kind", [
+        (907, 568, "cg_inconsistent"), (1705, 722, "cg_consistent"), (5, 178, "cg_consistent"),
+    ])
+    def test_krylov_traces_runs_at_rounding_level_pass(self, monkeypatch, tmp_path, seed, cycle, kind):
+        """Three runs of the krylov_traces benchmark whose blocks, each measured against
+        max(its own norm, 1), deviated by 1.06e-8 to 1.41e-8."""
+        monkeypatch.syspath_prepend(str(BENCH))
+        import workloads
+
+        workload = workloads.KrylovTraces()
+        state = workload.setup(seed, str(tmp_path))
+        (op,) = [op for op in workload.cycle(state, cycle) if op.kind == kind]
+        result = op.run()
+        assert result[1].passed, result[1].max_deviation
+        assert op.check(result) == []
+
+
+_DIAGNOSED_SPECTRUM = tuple(np.geomspace(1, 1e-2, 48)) + (0.0,) * 16
+_DIAGNOSED = {
+    "consistent": make_problem(ProblemSpec("spsd", (64, 64), _DIAGNOSED_SPECTRUM, seed=4,
+                                           x0_mode="random_full")),
+    "gap": make_problem(ProblemSpec("spsd", (64, 64), _DIAGNOSED_SPECTRUM, seed=4, consistency_gap=1e-3)),
+}
+_DIAGNOSED_Q2 = symmetric_eig(_DIAGNOSED["consistent"].a).q2
+
+
+def _diagnose(directory, name, c):
+    """The exit code and report of diagnose --iters 30 on (A, c b) from c x0, A from _DIAGNOSED[name]."""
+    problem = _DIAGNOSED[name]
+    save_matrix_market(directory / "b.mtx", (c * problem.b).reshape(-1, 1))
+    save_matrix_market(directory / "x0.mtx", (c * problem.x0).reshape(-1, 1))
+    out = directory / "report.json"
+    code = run_command(["diagnose", "--matrix", str(directory / f"{name}.mtx"), "--rhs",
+                        str(directory / "b.mtx"), "--x0", f"file:{directory / 'x0.mtx'}", "--iters", "30",
+                        "--out", str(out)])
+    return code, RunReport.from_json(out.read_text())
+
+
+def _drifting_cg_solve(*args, **kwargs):
+    """cg_solve, with every iterate after x_0 moved by 1.8e-6 ||x2_0|| along a null vector."""
+    trace = cg_solve(*args, **kwargs)
+    iterates = trace.iterates.copy()
+    iterates[1:] += 1.8e-6 * np.linalg.norm(_DIAGNOSED_Q2.T @ iterates[0]) * _DIAGNOSED_Q2[:, 0]
+    return dataclasses.replace(trace, iterates=iterates)
+
+
+@pytest.fixture(scope="module")
+def diagnosed(tmp_path_factory):
+    """A directory with each matrix of _DIAGNOSED."""
+    directory = tmp_path_factory.mktemp("diagnosed")
+    for name, problem in _DIAGNOSED.items():
+        save_matrix_market(directory / f"{name}.mtx", problem.a)
+    return directory
+
+
+@given(u=st.floats(-12.0, 12.0))
+@example(u=-12.0)
+@example(u=12.0)
+@settings(max_examples=30, deadline=None)
+def test_diagnose_does_not_depend_on_scale(diagnosed, u):
+    """With b and x0 scaled by c = f 2^e in 10^[-12, 12], f in [0.5, 1), every diagnose check
+    passes, max_deviation is at most 1e-10, and every diagnostic but the absolute rhs_null_norm
+    equals its value at f bit for bit: scaling by 2^e is exact, so only the rounding of f b and
+    f x0 moves them. A null drift of 1.8e-6 ||x2_0|| fails null_stagnation at every c."""
+    c = 10.0**u
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "cg_solve", _drifting_cg_solve)
+        code, report = _diagnose(diagnosed, "consistent", c)
+    assert code == 1 and not report.checks["null_stagnation"]
+    assert 1e-7 < report.diagnostics["max_null_drift"] < 1e-5
+
+    mantissa = math.frexp(c)[0]
+    for name in _DIAGNOSED:
+        code, report = _diagnose(diagnosed, name, c)
+        assert code == 0 and all(report.checks.values()), (name, report.checks)
+        assert report.diagnostics["max_deviation"] <= 1e-10, name
+        reference = _diagnose(diagnosed, name, mantissa)[1].diagnostics
+        relative = {key: value for key, value in report.diagnostics.items() if key != "rhs_null_norm"}
+        assert relative == {key: reference[key] for key in relative}, name
 
 
 class TestNullDirectionConfinement:
