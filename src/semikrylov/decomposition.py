@@ -10,10 +10,9 @@ starting value.
 ``equivalence_check`` rotates a plain trace into the same basis and
 confirms the two runs are the same algorithm iteration by iteration. Both
 runs obey exact arithmetic only while the plain recurrence keeps its
-residuals mutually orthogonal; once that degrades (or the range residual
-reaches rounding level relative to b1), the two finite-precision runs part
-ways in ways exact arithmetic does not predict, so the comparison stops at
-whichever signal fires first.
+residuals mutually orthogonal; once that degrades, the two finite-precision
+runs part ways in ways exact arithmetic does not predict, so the comparison
+stops there.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .solvers import BREAKDOWN, SolverConfig, SolveTrace, _cg_recurrence
 
 COMPLETED = "completed"
 
-_HORIZON_REL = 1e-12
 _HORIZON_ORTH = 1e-10
 
 
@@ -99,29 +97,18 @@ class EquivalenceReport:
     passed: bool
 
 
-def _scalar_devs(a, b) -> np.ndarray:
-    a, b = np.asarray(a), np.asarray(b)
-    denom = np.maximum(np.abs(a), np.abs(b))
-    return np.divide(np.abs(a - b), denom, out=np.zeros_like(denom), where=denom > 0.0)
-
-
 def _healthy_states(trace: SolveTrace, dtrace: DecomposedTrace) -> int:
     """Number of leading states still governed by exact-arithmetic behavior.
 
-    State i (i >= 1) stops being healthy once the plain residuals have lost
-    mutual orthogonality past 1e-10, or once the transformed range residual
-    drops below 1e-12 relative to b1 (it then consists of rounding noise).
+    State i (i >= 1) stops being healthy once the plain residuals r_0..r_i
+    have lost mutual orthogonality past 1e-10 (the cosine of some pair).
     """
     count = min(len(trace.iterates), len(dtrace.x1))
-    b1_norm = float(np.linalg.norm(dtrace.b1))
-    norms = np.linalg.norm(trace.residuals, axis=1, keepdims=True)
-    unit = trace.residuals / np.where(norms > 0.0, norms, 1.0)
-    r1_norms = np.linalg.norm(dtrace.r1, axis=1)
-    for i in range(count):
-        # an exactly zero range residual is the exact-arithmetic limit, not noise
-        if 0.0 < r1_norms[i] < _HORIZON_REL * b1_norm:
-            return i
-        if i >= 1 and np.max(np.abs(unit[:i] @ unit[i])) > _HORIZON_ORTH:
+    residuals = np.asarray(trace.residuals[:count])
+    norms = np.linalg.norm(residuals, axis=1, keepdims=True)
+    unit = residuals / np.where(norms > 0.0, norms, 1.0)
+    for i in range(1, count):
+        if np.max(np.abs(unit[:i] @ unit[i])) > _HORIZON_ORTH:
             return i
     return count
 
@@ -131,34 +118,31 @@ def equivalence_check(
 ) -> EquivalenceReport:
     """Rotate a plain cg trace into the eigenbasis and compare both runs.
 
-    Compares, per iteration, the range and null blocks of x, r, p and the
-    step scalars alpha, beta. Traces of different lengths are compared up
-    to the shorter, and only over the healthy leading states (see
-    ``_healthy_states``): with K comparable iterations, states 0..K are
-    checked and scalars 0..K-1, so every referenced state is healthy
-    (beta_i looks one state ahead). Each block of a vector family v in
-    {x, r, p} deviates by max_k ||Q_i^T v_k - v'_{i,k}|| / max_k ||v_k||,
-    over the plain states 0..K compared: the largest state of the history,
-    which is what the rounding gap between two runs of one recurrence
-    grows with. Scalars deviate relative to the larger magnitude. Raises
-    when the plain run leaves nothing to compare; otherwise r_0 and x_1
-    (or x_0) are nonzero, so no size is zero.
+    Compares, per state, the range and null blocks of x, r and p. Traces of
+    different lengths are compared up to the shorter, and only over the
+    healthy leading states (see ``_healthy_states``): with K comparable
+    iterations, states 0..K are checked. The step scalars need no test of
+    their own: alpha_k enters x_{k+1} and r_{k+1}, and beta_k enters
+    p_{k+1}, so every scalar 0..K-1 is checked through the states it
+    makes. Each block of a vector family v in {x, r, p} deviates by
+    max_k ||Q_i^T v_k - v'_{i,k}|| / max_k ||v_k||, over the plain states
+    0..K compared: the largest state of the history, which is what the
+    rounding gap between two runs of one recurrence grows with. Raises when
+    the plain run leaves nothing to compare; otherwise r_0 and x_1 (or x_0)
+    are nonzero, so no size is zero.
     """
     if trace.method != "cg":
         raise ValueError("equivalence_check expects a plain cg trace")
     if len(trace.iterates) == 0:
         raise ValueError("plain trace has no recorded vector history")
 
-    n_scalars = min(len(trace.alphas), len(dtrace.alphas))
-    healthy = _healthy_states(trace, dtrace)
-    iterations = min(healthy - 1, n_scalars) if healthy > 0 else 0
-    if iterations <= 0:
+    states = _healthy_states(trace, dtrace)
+    if states <= 1:
         cause = (f"it stopped at iteration 0 ({trace.stop_reason})" if len(trace.alphas) == 0
-                 else f"its range residual is at rounding level by iteration {healthy}")
+                 else f"its residuals lose orthogonality past {_HORIZON_ORTH:g} at iteration 1")
         raise ValueError(f"the plain run left nothing to compare: {cause}")
 
-    k, states = iterations, iterations + 1
-    devs = [np.max(_scalar_devs(trace.alphas[:k] + trace.betas[:k], dtrace.alphas[:k] + dtrace.betas[:k]))]
+    devs = []
     for plain, d1, d2 in (
         (trace.iterates, dtrace.x1, dtrace.x2),
         (trace.residuals, dtrace.r1, dtrace.r2),
@@ -169,7 +153,7 @@ def equivalence_check(
         devs.append(_relative_distance(plain @ decomp.q1, d1[:states], size))
         devs.append(_relative_distance(plain @ decomp.q2, d2[:states], size))
     max_dev = float(np.max(devs))
-    return EquivalenceReport(max_dev, iterations, max_dev <= tol)
+    return EquivalenceReport(max_dev, states - 1, max_dev <= tol)
 
 
 @dataclass(frozen=True)

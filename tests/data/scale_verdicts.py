@@ -20,6 +20,12 @@ and 1e12, the case ``<family>/<c>`` records, on ``(c A, c b)``:
   (``max_null_drift`` for a consistent family, ``max_null_residual_drift``
   for ``gap``) of ``semikrylov diagnose --iters 6`` from a zero start.
 
+The spec of ``DIAGNOSED`` gets a case ``geom40/<c>`` of its own, with only
+the ``diagnose`` entry, run on ``(c A, c b)`` from the spec's start for
+``--iters 40``, the full length of the run: a 40 x 40 problem with spectrum
+``geomspace(1, 1/1.5, 30)`` plus zeros and a ``random_full`` start, whose
+last, rounding-level steps are where the verdict is decided.
+
 Every golden input is at unit scale, so this is what compares the scale
 behaviour of two checkouts (see ``compare_trees.py``).
 """
@@ -40,6 +46,10 @@ from semikrylov.solvers import cg_solve, cgls_solve, cgne_solve
 
 SCALES = (1e-12, 1e-9, 1e-6, 1.0, 1e6, 1e12)
 SOLVERS = {"cg": cg_solve, "cgls": cgls_solve, "cgne": cgne_solve}
+DIAGNOSED = {
+    "geom40": {"kind": "spsd", "dims": [40, 40], "spectrum": np.geomspace(1, 1 / 1.5, 30).tolist() + [0.0] * 10,
+               "seed": 2, "x0_mode": "random_full"},
+}
 
 
 def _passes_symmetry(a) -> bool:
@@ -50,14 +60,16 @@ def _passes_symmetry(a) -> bool:
     return True
 
 
-def _diagnose(a, b) -> list:
+def _diagnose(a, b, x0, iters: int) -> list:
     """[exit code, checks, max_deviation, iterations_compared, null drift] of diagnose on (a, b)."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         save_matrix_market(tmp / "a.mtx", a)
         save_matrix_market(tmp / "b.mtx", b.reshape(-1, 1))
+        save_matrix_market(tmp / "x0.mtx", x0.reshape(-1, 1))
         code = run_command(["diagnose", "--matrix", str(tmp / "a.mtx"), "--rhs", str(tmp / "b.mtx"),
-                            "--iters", "6", "--out", str(tmp / "report.json")])
+                            "--x0", f"file:{tmp / 'x0.mtx'}", "--iters", str(iters),
+                            "--out", str(tmp / "report.json")])
         report = json.loads((tmp / "report.json").read_text())
     found = report["diagnostics"]
     drift = found.get("max_null_drift", found.get("max_null_residual_drift"))
@@ -81,7 +93,7 @@ def _case(problem, spsd: bool, c: float) -> dict:
         error = float(np.linalg.norm(trace.x - xdag) / np.linalg.norm(xdag))
         case[method] = [trace.stop_reason, trace.iterations, error]
     if spsd:
-        case["diagnose"] = _diagnose(a, b)
+        case["diagnose"] = _diagnose(a, b, np.zeros(a.shape[1]), 6)
     return case
 
 
@@ -92,6 +104,11 @@ def scale_verdicts() -> dict:
         problem = make_problem(ProblemSpec.from_dict(payload))
         for c in SCALES:
             cases[f"{family}/{c!r}"] = _case(problem, payload["kind"] == "spsd", c)
+    for name, payload in DIAGNOSED.items():
+        problem = make_problem(ProblemSpec.from_dict(payload))
+        for c in SCALES:
+            cases[f"{name}/{c!r}"] = {"diagnose": _diagnose(c * problem.a, c * problem.b, problem.x0,
+                                                            payload["dims"][1])}
     return cases
 
 

@@ -690,6 +690,20 @@ def test_diagnose_with_nothing_to_compare_names_the_cause(tmp_path, capsys, star
         f"error: the plain run left nothing to compare: it stopped at iteration 0 ({stop_reason})\n")
 
 
+def test_diagnose_of_a_one_step_run_names_the_orthogonality_test(tmp_path, capsys):
+    """On an orthogonal projector CG converges in one step: r_1 is rounding noise, not orthogonal
+    to r_0, so the comparison window holds no iteration."""
+    spec = _spec_file(tmp_path, dims=[16, 16], spectrum=[1.0] * 10 + [0.0] * 6, seed=1,
+                      x0_mode="random_full")
+    assert run_command(["generate", "--spec", str(spec), "--out-dir", str(tmp_path / "prob")]) == 0
+    prob = tmp_path / "prob"
+    capsys.readouterr()
+    assert run_command(["diagnose", "--matrix", str(prob / "a.mtx"), "--rhs", str(prob / "b.mtx"),
+                        "--x0", f"file:{prob / 'x0.mtx'}", "--iters", "5"]) == 2
+    assert capsys.readouterr().err == ("error: the plain run left nothing to compare: "
+                                       "its residuals lose orthogonality past 1e-10 at iteration 1\n")
+
+
 RANK_0_CASES = [("cg", "spsd"), ("cgls", "tall"), ("cgls", "wide"), ("cgne", "tall"),
                 ("cgne", "wide")]
 
