@@ -5,10 +5,11 @@ Run from anywhere with ``python tests/data/compare_trees.py PARENT CHANGE
 process that imports that tree's ``src``; the two processes run side by side.
 
 - ``golden``: this checkout's ``make_golden_reports.py``, every CLI case;
-- ``replay``: this checkout's ``replay_krylov_traces.py --tree TREE``, which
-  runs that tree's ``krylov_traces`` workload for ``--cycles`` cycles per seed;
-- ``unrecorded``: the same replay with ``--unrecorded``, every solver call of
-  it run again with ``record_trace=False``;
+- ``replay``: a digest of every result of that tree's ``krylov_traces``
+  workload, run for ``--cycles`` cycles per seed by this checkout's
+  ``replay_krylov_traces.py --tree TREE``;
+- ``unrecorded``: from the same run, a digest of every solver call of it run
+  again with ``record_trace=False``;
 - ``mtx``: this checkout's ``write_mtx_files.py``, the text of every ``.mtx``
   file that ``generate`` writes for a few specs, and of one
   ``save_matrix_market`` file;
@@ -27,8 +28,10 @@ A golden, mtx or read difference names the cases or files that differ, a
 scale difference names each case with the fields that differ in it, a
 replay or unrecorded difference names each operation kind (solver, for
 unrecorded) with its count of differing records and, per tree, its stop
-reasons and its iteration total, and a help difference is shown as a diff. The exit code is 0 when everything is
-equal, 1 when anything differs, and 2 when a tree fails to run.
+reasons and its iteration total, then names any record (paired by seed, cycle
+and kind) found in one tree only, and a help difference is shown as a diff. The
+exit code is 0 when everything is equal, 1 when anything differs, and 2 when a
+tree fails to run.
 """
 
 import argparse
@@ -39,6 +42,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -53,19 +57,6 @@ for command in sys.argv[1:]:
     texts[command] = text.getvalue()
 print(json.dumps(texts))
 """
-# writes, for each record of the replay pickle PATH, [kind, digest, stop reason, iterations]
-# to PATH.json
-RECORDS = """import hashlib, json, pickle, sys
-rows = []
-with open(sys.argv[1], "rb") as pickled:
-    for record in pickle.load(pickled):
-        *_, kind, result = record  # (seed, cycle, kind, result) or (solver, trace)
-        trace = result[0] if isinstance(result, tuple) else result
-        digest = hashlib.sha256(pickle.dumps(record, protocol=4)).hexdigest()
-        rows.append([kind, digest, trace.stop_reason, trace.iterations])
-with open(sys.argv[1] + ".json", "w") as out:
-    json.dump(rows, out)
-"""
 
 
 def _differing(old: dict, new: dict) -> list:
@@ -73,23 +64,38 @@ def _differing(old: dict, new: dict) -> list:
     return sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
 
 
-def _kinds(old: list, new: list) -> list:
-    """One line per operation kind with records that differ between two RECORDS outputs."""
-    kinds = {}
-    for tree, rows in enumerate((old, new)):
-        for kind, _, reason, iterations in rows:
-            entry = kinds.setdefault(kind, {"differ": 0, "reasons": ({}, {}), "iterations": [0, 0]})
-            entry["reasons"][tree][reason] = entry["reasons"][tree].get(reason, 0) + 1
-            entry["iterations"][tree] += iterations
-    for a, b in zip(old, new):
-        kinds[a[0]]["differ"] += a != b
-    lines = []
-    for kind, entry in sorted(kinds.items()):
-        if entry["differ"]:
-            reasons = [", ".join(f"{r} x{n}" for r, n in sorted(tree.items())) for tree in entry["reasons"]]
-            lines.append(f"{kind}: {entry['differ']} of {sum(entry['reasons'][0].values())} records differ;"
-                         f" stop reasons {reasons[0]} / {reasons[1]};"
-                         f" iterations {entry['iterations'][0]} / {entry['iterations'][1]}")
+def _rows(path: Path) -> tuple[dict, dict]:
+    """The replay rows of one replay output keyed by (seed, cycle, kind), and the unrecorded rows
+    keyed by the operation whose row follows them and their place among its solver calls."""
+    replay, unrecorded, reruns = {}, {}, []
+    for row in map(json.loads, path.read_text(encoding="utf-8").splitlines()):
+        if len(row) == 4:  # [solver, digest, stop reason, iterations]
+            reruns.append(row)
+        else:  # [seed, cycle, kind, digest, stop reason, iterations, passed]
+            replay[tuple(row[:3])] = row[2:]
+            unrecorded.update(((*row[:3], call), rerun) for call, rerun in enumerate(reruns))
+            reruns = []
+    return replay, unrecorded
+
+
+def _kinds(old: dict, new: dict) -> list:
+    """One line per kind with records that differ between two trees' rows, paired by key, then the
+    records in one tree only. A row reads ``[kind, digest, stop reason, iterations, ...]``."""
+    keys, lines = old.keys() | new.keys(), []
+    for kind in sorted({(old.get(key) or new[key])[0] for key in keys}):
+        ours = [key for key in keys if (old.get(key) or new[key])[0] == kind]
+        differ = sum(old.get(key) != new.get(key) for key in ours)
+        if not differ:
+            continue
+        trees = [[rows[key] for key in ours if key in rows] for rows in (old, new)]
+        reasons = [", ".join(f"{r} x{n}" for r, n in sorted(Counter(row[2] for row in tree).items())) or "none"
+                   for tree in trees]
+        iterations = [sum(row[3] for row in tree) for tree in trees]
+        lines.append(f"{kind}: {differ} of {len(ours)} records differ; stop reasons {reasons[0]} / {reasons[1]};"
+                     f" iterations {iterations[0]} / {iterations[1]}")
+    for side, rows, other in (("parent", old, new), ("change", new, old)):
+        if only := sorted(rows.keys() - other.keys()):
+            lines.append(f"only in {side}: " + ", ".join("/".join(map(str, key)) for key in only))
     return lines
 
 
@@ -123,26 +129,22 @@ def compare(parent: Path, change: Path, seeds: list[int], cycles: int) -> bool:
         _run_both("replay", trees, outs("replay"),
                   [str(HERE / "replay_krylov_traces.py"), "--tree", "{tree}",
                    "--seeds", *map(str, seeds), "--cycles", str(cycles)])
-        _run_both("unrecorded", trees, outs("unrecorded"),
-                  [str(HERE / "replay_krylov_traces.py"), "--tree", "{tree}", "--unrecorded",
-                   "--seeds", *map(str, seeds), "--cycles", str(cycles)])
         _run_both("mtx", trees, outs("mtx"), [str(HERE / "write_mtx_files.py")])
         _run_both("read", trees, outs("read"), [str(HERE / "read_mtx_files.py")])
         _run_both("scale", trees, outs("scale"), [str(HERE / "scale_verdicts.py")])
         _run_both("help", trees, outs("help"), ["-c", HELP, *COMMANDS])
 
+        replays = dict(zip(("replay", "unrecorded"), zip(*map(_rows, outs("replay")))))
         for name in ("golden", "replay", "unrecorded", "mtx", "read", "scale"):
-            same = filecmp.cmp(*outs(name), shallow=False)
+            same = replays[name][0] == replays[name][1] if name in replays else filecmp.cmp(*outs(name), shallow=False)
             equal &= same
             print(f"{name}: {'equal' if same else 'differs'}")
             if name == "golden" and not same:
                 old, new = (json.loads(path.read_text()) for path in outs(name))
                 names = [a["name"] for a, b in zip(old, new) if a != b]
                 print("  cases: " + ", ".join(names))
-            if name in ("replay", "unrecorded") and not same:
-                _run_both(name, trees, outs(name), ["-c", RECORDS, "{out}"], stdout=False)
-                old, new = (json.loads(Path(f"{path}.json").read_text()) for path in outs(name))
-                print("\n".join("  " + line for line in _kinds(old, new)))
+            if name in replays and not same:
+                print("\n".join("  " + line for line in _kinds(*replays[name])))
             if name in ("mtx", "read", "scale") and not same:
                 old, new = (json.loads(path.read_text()) for path in outs(name))
                 keys = _differing(old, new)
@@ -167,8 +169,10 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="checkout to compare")
     parser.add_argument("--seeds", type=int, nargs="+", default=[907, 11, 4242],
                         help="krylov_traces seeds to replay")
-    parser.add_argument("--cycles", type=int, default=12, help="cycles to replay per seed")
+    parser.add_argument("--cycles", type=int, default=12, help="cycles to replay per seed, at least 1")
     args = parser.parse_args(argv)
+    if args.cycles < 1:
+        parser.error(f"--cycles must be at least 1, not {args.cycles}")
     try:
         equal = compare(args.parent.resolve(), args.change.resolve(), args.seeds, args.cycles)
     except RuntimeError as exc:

@@ -1,70 +1,66 @@
-"""Pickle the result of every krylov_traces benchmark operation, for byte-for-byte comparison.
+"""Print one JSON line per krylov_traces benchmark result, for comparison across checkouts.
 
 Run from anywhere with ``python tests/data/replay_krylov_traces.py --tree TREE
---seeds 907 11 --cycles 12 > replay.pkl``. The package is imported from
-``TREE/src`` and the workload from ``TREE/bench/workloads.py``, which is read
-and not changed; ``--tree`` defaults to the checkout that holds this script.
-For each seed the workload is set up once, then the first ``--cycles`` cycles
-of operations run, and the list of ``(seed, cycle, kind, result)`` records
-(every ``SolveTrace`` field and every equivalence, confinement and bound
-report) is written to stdout as one pickle. Two trees compute the same
-results when their outputs compare equal with ``cmp``.
-
-With ``--unrecorded`` the pickle instead lists ``(solver, trace)`` for every
-solver call of those operations, in call order, each run again on the same
-problem with ``record_trace=False``. No benchmark operation runs that path.
+--seeds 907 11 --cycles 12 > replay.jsonl``. The package is imported from
+``TREE/src`` and the workload from ``TREE/bench/workloads.py`` (``--tree``
+defaults to this checkout). Per seed the workload is set up once and its first
+``--cycles`` cycles run. Each solver call is run again with ``record_trace=False``,
+a path no benchmark operation takes, and prints ``[solver, digest, stop reason,
+iterations]``; then each operation prints ``[seed, cycle, kind, digest, stop
+reason, iterations, passed]``, ``passed`` true when every verdict report passed.
+A digest is the sha256 of the protocol 4 pickle of ``(solver, trace)`` or of
+``(seed, cycle, kind, result)``: every ``SolveTrace`` field and report. No result
+is kept once its line is printed, so memory does not grow with the cycle count.
 """
 
 import argparse
+import hashlib
+import json
 import pickle
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
-PROTOCOL = 4
 
 
-def replay(seeds: list[int], cycles: int) -> list[tuple]:
+def _digest(record) -> str:
+    return hashlib.sha256(pickle.dumps(record, protocol=4)).hexdigest()
+
+
+def replay(seeds: list[int], cycles: int) -> None:
     import workloads
+    from semikrylov import solvers
 
-    records = []
+    def rerun(solve):
+        def call(a, b, start):
+            trace = solve(a, b, start, solvers.SolverConfig(record_trace=False))
+            print(json.dumps([solve.__name__, _digest((solve.__name__, trace)), trace.stop_reason,
+                              trace.iterations]))
+            return solve(a, b, start)
+        return call
+
+    for name in ("cg_solve", "cgls_solve", "cgne_solve"):
+        setattr(solvers, name, rerun(getattr(solvers, name)))
     workload = workloads.KrylovTraces()
     for seed in seeds:
         with tempfile.TemporaryDirectory() as workdir:
             state = workload.setup(seed, workdir)
         for index in range(cycles):
             for op in workload.cycle(state, index):
-                records.append((seed, index, op.kind, op.run()))
-    return records
-
-
-def unrecorded(seeds: list[int], cycles: int) -> list[tuple]:
-    """Replay the operations and rerun each solver call with trace recording off."""
-    from semikrylov import solvers
-
-    runs = []
-
-    def rerun(solve):
-        def call(a, b, start):
-            runs.append((solve.__name__, solve(a, b, start, solvers.SolverConfig(record_trace=False))))
-            return solve(a, b, start)
-        return call
-
-    for name in ("cg_solve", "cgls_solve", "cgne_solve"):
-        setattr(solvers, name, rerun(getattr(solvers, name)))
-    replay(seeds, cycles)
-    return runs
+                trace, *reports = result = op.run()
+                print(json.dumps([seed, index, op.kind, _digest((seed, index, op.kind, result)), trace.stop_reason,
+                                  trace.iterations, all(report.passed for report in reports)]))
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", type=Path, default=ROOT, help="checkout to import from")
     parser.add_argument("--seeds", type=int, nargs="+", required=True, help="workload seeds")
-    parser.add_argument("--cycles", type=int, required=True, help="cycles to run per seed")
-    parser.add_argument("--unrecorded", action="store_true",
-                        help="pickle the solver calls rerun with record_trace=False instead")
+    parser.add_argument("--cycles", type=int, required=True, help="cycles to run per seed, at least 1")
     args = parser.parse_args(argv)
+    if args.cycles < 1:
+        parser.error(f"--cycles must be at least 1, not {args.cycles}")
     tree = args.tree.resolve()
     sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
     import semikrylov
@@ -72,8 +68,7 @@ def main(argv=None) -> int:
     if Path(semikrylov.__file__).resolve().parent != tree / "src" / "semikrylov":
         print(f"error: semikrylov was imported from {semikrylov.__file__}", file=sys.stderr)
         return 2
-    records = (unrecorded if args.unrecorded else replay)(args.seeds, args.cycles)
-    sys.stdout.buffer.write(pickle.dumps(records, protocol=PROTOCOL))
+    replay(args.seeds, args.cycles)
     return 0
 
 

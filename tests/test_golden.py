@@ -7,7 +7,8 @@ only have to absorb rounding differences between BLAS builds.
 """
 
 import importlib.util
-import pickle
+import json
+import os
 import re
 import shutil
 import subprocess
@@ -20,9 +21,17 @@ import pytest
 from semikrylov.genmat import make_problem
 
 DATA = Path(__file__).parent / "data"
-_spec = importlib.util.spec_from_file_location("make_golden_traces", DATA / "make_golden_traces.py")
-golden_script = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(golden_script)
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, DATA / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+golden_script = _load("make_golden_traces")
+compare_trees = _load("compare_trees")
 
 SCALAR_FIELDS = ("alphas", "betas", "res_norms", "normal_res_norms")
 RTOL = {"cg": 1e-13, "cgls": 1e-13, "cgne": 1e-12, "decomposed": 1e-9}
@@ -82,17 +91,75 @@ def test_decomposed_run_matches_golden(golden, family):
             assert _row_devs(fields[block], want, scale).max() <= rtol, f"{prefix}.{block}"
 
 
+def _replay(*argv):
+    return [sys.executable, str(DATA / "replay_krylov_traces.py"), "--seeds", "907", *argv]
+
+
 def test_krylov_traces_replay_is_deterministic():
-    """One cycle of the replay tool, twice: the same bytes, one result per operation."""
-    argv = [sys.executable, str(DATA / "replay_krylov_traces.py"), "--seeds", "907", "--cycles", "1"]
-    first, second = (subprocess.run(argv, capture_output=True, check=True).stdout for _ in range(2))
+    """One cycle of the replay tool, twice: the same bytes, one row per operation after its solver's rerun."""
+    first, second = (subprocess.run(_replay("--cycles", "1"), capture_output=True, check=True).stdout
+                     for _ in range(2))
     assert first == second
-    records = pickle.loads(first)
-    assert [kind for _, _, kind, _ in records] == [
+    rows = [json.loads(line) for line in first.splitlines()]
+    assert [row[0] for row in rows[0::2]] == ["cg_solve", "cg_solve", "cgls_solve", "cgls_solve", "cgne_solve"]
+    records = rows[1::2]
+    assert [kind for _, _, kind, *_ in records] == [
         "cg_consistent", "cg_inconsistent", "cgls_consistent", "cgls_inconsistent", "cgne"]
-    assert all(seed == 907 and cycle == 0 for seed, cycle, _, _ in records)
-    trace, equivalence, bound = records[0][3]
-    assert trace.stop_reason == "converged" and equivalence.passed and bound.passed
+    assert all(seed == 907 and cycle == 0 for seed, cycle, *_ in records)
+    *_, stop_reason, _, passed = records[0]
+    assert stop_reason == "converged" and passed
+
+
+def _peak_mb(argv) -> float:
+    """The max RSS of ``argv`` run as a child process, in MB."""
+    proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    return usage.ru_maxrss / 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read in kB, as Linux reports it")
+def test_replay_memory_does_not_grow_with_cycles():
+    """The replay keeps no result once its row is printed: 18 more cycles cost less than one cycle's records,
+    whose five results (every SolveTrace history and report) pickle to 2.8 MB at seed 907."""
+    assert _peak_mb(_replay("--cycles", "20")) - _peak_mb(_replay("--cycles", "2")) < 2.8
+
+
+def test_compare_trees_pairs_records_by_key():
+    """A record found in one tree only is named and counted as differing, and no other record is blamed."""
+    def row(kind, digest, iterations=10):
+        return [kind, digest, "converged", iterations, True]
+
+    old = {(907, 0, "cg"): row("cg", "a"), (907, 1, "cg"): row("cg", "b"), (907, 1, "cgne"): row("cgne", "c")}
+    new = {(907, 1, "cg"): row("cg", "b"), (907, 1, "cgne"): row("cgne", "d", 8), (907, 2, "cgls"): row("cgls", "e")}
+    assert compare_trees._kinds(old, new) == [
+        "cg: 1 of 2 records differ; stop reasons converged x2 / converged x1; iterations 20 / 10",
+        "cgls: 1 of 1 records differ; stop reasons none / converged x1; iterations 0 / 10",
+        "cgne: 1 of 1 records differ; stop reasons converged x1 / converged x1; iterations 10 / 8",
+        "only in parent: 907/0/cg",
+        "only in change: 907/2/cgls",
+    ]
+    assert compare_trees._kinds(old, old) == []
+
+
+def test_compare_trees_keys_each_rerun_by_the_operation_after_it(tmp_path):
+    rows = tmp_path / "rows"
+    rows.write_text("\n".join(json.dumps(row) for row in (
+        ["cg_solve", "a", "converged", 9], [907, 0, "cg", "b", "converged", 9, True],
+        ["cgne_solve", "c", "breakdown", 4], [907, 1, "cgne", "d", "breakdown", 4, False])) + "\n")
+    assert compare_trees._rows(rows) == (
+        {(907, 0, "cg"): ["cg", "b", "converged", 9, True], (907, 1, "cgne"): ["cgne", "d", "breakdown", 4, False]},
+        {(907, 0, "cg", 0): ["cg_solve", "a", "converged", 9], (907, 1, "cgne", 0): ["cgne_solve", "c", "breakdown", 4]})
+
+
+@pytest.mark.parametrize("argv", [
+    [str(DATA / "compare_trees.py"), ".", ".", "--seeds", "907", "--cycles", "0"],
+    [str(DATA / "replay_krylov_traces.py"), "--seeds", "907", "--cycles", "-3"],
+], ids=["compare_trees", "replay_krylov_traces"])
+def test_a_cycle_count_below_one_is_refused(argv):
+    done = subprocess.run([sys.executable, *argv], capture_output=True, text=True)
+    assert done.returncode == 2 and "--cycles must be at least 1" in done.stderr and not done.stdout
 
 
 def test_compare_trees_finds_a_changed_golden_output(tmp_path):
