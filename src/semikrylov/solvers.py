@@ -29,8 +29,15 @@ alpha_0 p_0, alpha_1 p_1, ..., bit for bit the textbook x + alpha p. An
 unrecorded run folds a fixed 64-row block into x that way whenever it fills.
 
 At desk scale the loops are bound by numpy dispatch, not flops, so they use
-``ndarray.dot`` and ``math.sqrt``; the results equal those of ``@`` and
-``np.linalg.norm`` bit for bit.
+``ndarray.dot`` and ``math.sqrt``, bit for bit ``@`` and ``np.linalg.norm``,
+and allocate nothing per step: the operator must return a new array, which is
+scaled in place, and beta p goes to one scratch vector. A CG step makes 7
+numpy calls and a CGLS step 9, plus ||p||^2 when a bound B on ||p|| cannot
+rule breakdown out: B is ||r_0|| (||s_0||, CGLS), then ||r_{k+1}|| + beta_k B,
+each times 1 + 1e-8 plus 1e-140, the triangle inequality with slack for the
+rounding (n below 10^7) and underflow. So fl(p.p) <= fl(B^2), a curvature
+above floor fl(B^2) is above floor fl(p.p), and each test decides as the
+exact one; an infinite or NaN B leaves it to the exact one.
 """
 
 from __future__ import annotations
@@ -149,19 +156,21 @@ def _cg_recurrence(apply, x, r, cap: int, stop: float, floor: float, record: boo
     """CG on the symmetric positive semidefinite operator ``apply`` from x, with r = b - A x.
 
     Stops with "converged" once ||r_i|| <= stop, "max_iters" after ``cap``
-    iterations, or "breakdown" when (A p_i, p_i) <= floor * ||p_i||^2.
-    Returns a SolveTrace labelled "cg", its histories written as the module
-    notes describe.
+    iterations, or "breakdown" when (A p_i, p_i) <= floor * ||p_i||^2, floor >= 0.
+    ``apply`` must return a new array: the loop scales it in place. Returns a
+    SolveTrace labelled "cg", its histories written as the module notes describe.
     """
     P, R = np.array([r]), np.array([r])
-    p, j = r, 0
+    p, j, rows, scaled = r, 0, 1, np.empty_like(r)
     rr = float(r.dot(r))
     alphas: list[float] = []
     betas: list[float] = []
-    res_norms = [math.sqrt(rr)]
+    res_norm = math.sqrt(rr)
+    res_norms, bound = [res_norm], res_norm * (1 + 1e-8) + 1e-140
+    multiply, subtract, add, sqrt = np.multiply, np.subtract, np.add, math.sqrt
 
     while True:
-        if res_norms[-1] <= stop:
+        if res_norm <= stop:
             stop_reason = CONVERGED
             break
         if len(alphas) >= cap:
@@ -169,22 +178,24 @@ def _cg_recurrence(apply, x, r, cap: int, stop: float, floor: float, record: boo
             break
         ap = apply(p)
         curvature = float(p.dot(ap))
-        if curvature <= floor * float(p.dot(p)):
+        if not curvature > floor * (bound * bound) and curvature <= floor * float(p.dot(p)):
             stop_reason = BREAKDOWN
             break
         alpha = rr / curvature
-        if j + 1 == len(P):
+        if j + 1 == rows:
             (P, R), x, j = _make_room((P, R), x, alphas, cap, record)
+            rows = len(P)
         j += 1
-        r = np.subtract(r, alpha * ap, out=R[j])
+        r = subtract(r, multiply(ap, alpha, out=ap), out=R[j])
         rr_next = float(r.dot(r))
         beta = rr_next / rr
-        p = np.add(r, beta * p, out=P[j])
-        rr = rr_next
+        p = add(r, multiply(p, beta, out=scaled), out=P[j])
+        rr, res_norm = rr_next, sqrt(rr_next)
+        bound = (res_norm + beta * bound) * (1 + 1e-8) + 1e-140
 
         alphas.append(alpha)
         betas.append(beta)
-        res_norms.append(math.sqrt(rr))
+        res_norms.append(res_norm)
 
     x, xs, ps, rs = _finish((P, R), x, alphas, j, record)
     return SolveTrace("cg", stop_reason, x, alphas, betas, res_norms, xs, rs, ps)
@@ -242,13 +253,15 @@ def cgls_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
     stop = (cfg.rel_tol * (float(np.linalg.norm(at @ b)) or float(np.linalg.norm(s)))) ** 2
     floor = cfg.breakdown_tol * float(np.linalg.norm(a)) ** 2
     P, R, S = np.array([s]), np.array([r]), np.array([s])
-    x, p, j = x0, s, 0
+    x, p, j, rows, scaled = x0, s, 0, 1, np.empty_like(s)
     gamma = float(s.dot(s))
 
     alphas: list[float] = []
     betas: list[float] = []
     res_norms = [math.sqrt(float(r.dot(r)))]
-    normal_res_norms = [math.sqrt(gamma)]
+    normal_res_norm = math.sqrt(gamma)
+    normal_res_norms, bound = [normal_res_norm], normal_res_norm * (1 + 1e-8) + 1e-140
+    multiply, subtract, add, sqrt = np.multiply, np.subtract, np.add, math.sqrt
 
     while True:
         if gamma <= stop:
@@ -259,24 +272,26 @@ def cgls_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
             break
         q = a.dot(p)
         qq = float(q.dot(q))
-        if qq <= floor * float(p.dot(p)):
+        if not qq > floor * (bound * bound) and qq <= floor * float(p.dot(p)):
             stop_reason = BREAKDOWN
             break
         alpha = gamma / qq
-        if j + 1 == len(P):
+        if j + 1 == rows:
             (P, R, S), x, j = _make_room((P, R, S), x, alphas, cap, cfg.record_trace)
+            rows = len(P)
         j += 1
-        r = np.subtract(r, alpha * q, out=R[j])
+        r = subtract(r, multiply(q, alpha, out=q), out=R[j])
         s = at.dot(r, out=S[j])
         gamma_next = float(s.dot(s))
         beta = gamma_next / gamma
-        p = np.add(s, beta * p, out=P[j])
-        gamma = gamma_next
+        p = add(s, multiply(p, beta, out=scaled), out=P[j])
+        gamma, normal_res_norm = gamma_next, sqrt(gamma_next)
+        bound = (normal_res_norm + beta * bound) * (1 + 1e-8) + 1e-140
 
         alphas.append(alpha)
         betas.append(beta)
-        res_norms.append(math.sqrt(float(r.dot(r))))
-        normal_res_norms.append(math.sqrt(gamma))
+        res_norms.append(sqrt(float(r.dot(r))))
+        normal_res_norms.append(normal_res_norm)
 
     x, xs, ps, rs, ss = _finish((P, R, S), x, alphas, j, cfg.record_trace)
     return SolveTrace("cgls", stop_reason, x, alphas, betas, res_norms, xs, rs, ps,

@@ -384,6 +384,13 @@ class TestGenerateCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_an_integer_too_large_for_a_float_exits_2(self, tmp_path, capsys):
+        spec_path = _spec_file(tmp_path, consistency_gap=10**400)
+        code = run_command(["generate", "--spec", str(spec_path), "--out-dir", str(tmp_path / "g")])
+        assert code == 2
+        assert capsys.readouterr().err == ("error: problem spec has a malformed field: "
+                                           "int too large to convert to float\n")
+
     def test_deeply_nested_spec_exits_2(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text("[" * 100_000)

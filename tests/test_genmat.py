@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,18 @@ class TestProblemSpec:
         for build in (ProblemSpec.from_dict, lambda d: ProblemSpec(**d)):
             with pytest.raises(ValueError, match=f"^problem spec field '{field}' "):
                 build(payload)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("dims", [2, 2, 2], "dims must be a pair (m, n)"),
+        ("dims", [0, 2], "dims must be positive"),
+        ("spectrum", [1.0, -1.0], "spectrum must be nonnegative"),
+        ("consistency_gap", -0.1, "consistency_gap must be nonnegative"),
+        ("spectrum", [10**400, 0], "problem spec has a malformed field: int too large to convert to float"),
+    ], ids=["dims-not-a-pair", "dims-not-positive", "negative-spectrum", "negative-gap", "huge-int"])
+    def test_a_bad_field_value_is_refused_with_its_message(self, field, value, message):
+        payload = {"kind": "spsd", "dims": [2, 2], "spectrum": [1.0, 0.0], "seed": 1, field: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ProblemSpec.from_dict(payload)
 
     def test_numpy_scalars_are_taken_as_the_numbers_they_hold(self):
         spec = ProblemSpec("spsd", (np.int64(2), np.uint8(2)), (np.float32(1.0), np.int64(0)),

@@ -1,18 +1,24 @@
+import collections
 import functools
+import math
+import pickle
+import sys
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semikrylov import solvers
+from semikrylov import decomposition, solvers
 from semikrylov.decomposition import decomposed_cg_run
-from semikrylov.genmat import ProblemSpec, make_problem
-from semikrylov.linalg import symmetric_eig
+from semikrylov.genmat import X0_MODES, ProblemSpec, make_problem
+from semikrylov.linalg import _sized, as_matrix, symmetric_eig
 from semikrylov.oracle import pinv_apply_rect, pseudoinverse_apply, split
-from semikrylov.solvers import SolverConfig, _cg_recurrence, cg_solve, cgls_solve, cgne_solve
+from semikrylov.solvers import (BREAKDOWN, CONVERGED, MAX_ITERS, SolverConfig, SolveTrace, _cg_recurrence,
+                                _finish, _make_room, cg_solve, cgls_solve, cgne_solve)
 from semikrylov.linalg import svd
 
 
@@ -39,6 +45,13 @@ def exact_cg_on_diagonal(lam, b, iters):
 
 
 class TestCgSolve:
+    def test_a_nan_bound_on_p_leaves_breakdown_to_the_exact_test(self):
+        # ||b||^2 is finite but the bound's square, ||b||^2 (1 + 2e-8), is not; with A = 0 the
+        # floor is 0, so floor * bound^2 is NaN and only the exact test sees the zero curvature
+        b = np.array([math.sqrt(sys.float_info.max) * (1.0 - 1e-9)])
+        trace = cg_solve(np.zeros((1, 1)), b, np.zeros(1))
+        assert trace.stop_reason == "breakdown" and trace.iterations == 0
+
     def test_identity_one_step(self):
         trace = cg_solve(np.eye(3), [1.0, 2.0, 3.0], np.zeros(3))
         assert trace.stop_reason == "converged"
@@ -176,6 +189,13 @@ class TestCglsSolve:
         assert trace.iterations == 0
         np.testing.assert_array_equal(trace.x, [0.0])
         assert trace.normal_res_norms[0] == 0.0
+
+    def test_breakdown_on_a_direction_with_a_numerically_zero_image(self):
+        # p_1 is about (1e-18, 1e-9): ||A p_1||^2 = 2e-36 <= 1e-14 ||A||_F^2 ||p_1||^2 = 1e-32
+        a, b = np.diag([1.0, 1e-9]), np.array([1.0, 1.0])
+        trace = cgls_solve(a, b, np.zeros(2))
+        assert trace.stop_reason == "breakdown" and trace.iterations == 1
+        assert pickle.dumps(trace) == pickle.dumps(reference_cgls_solve(a, b, np.zeros(2)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -318,6 +338,17 @@ class TestScaleInvariance:
         trace = cgls_solve(problem.a, problem.b, problem.x0, SolverConfig(record_trace=False))
         assert _right_or_not_converged(trace, problem.xstar_reference)
         assert trace.iterations < SolverConfig().iteration_cap(200)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the squared norms overflow or underflow at "
+                       "this scale, so the run stops converged at iteration 0 with error 1.0")
+    @pytest.mark.parametrize("solve, c", [(cg_solve, 1e160), (cg_solve, 1e-170), (cgls_solve, 1e100)],
+                             ids=["cg-1e160", "cg-1e-170", "cgls-1e100"])
+    def test_extreme_scale_is_right_or_not_converged(self, solve, c):
+        spectrum = tuple(np.geomspace(1.0, 1e-2, 16)) + (0.0,) * 4
+        problem = make_problem(ProblemSpec("spsd", (20, 20), spectrum, seed=3))
+        with np.errstate(all="ignore"):
+            trace = solve(c * problem.a, c * problem.b, np.zeros(20))
+        assert _right_or_not_converged(trace, problem.xstar_reference)
 
 
 _SCALE_SPECTRUM = tuple(np.geomspace(1.0, 1e-1, 20))
@@ -525,6 +556,154 @@ class TestBitIdenticalToTextbookLoops:
         assert run.stop_reason == reason
         # a breakdown is found after one more apply, for the attempt that did not complete
         assert apply.calls == run.iterations + (reason == "breakdown")
+
+
+# The two Krylov loops as they were before they evaluated ||p||^2 only where a bound on ||p||
+# cannot rule breakdown out and stopped allocating per step, kept verbatim as references.
+def reference_cg_recurrence(apply, x, r, cap: int, stop: float, floor: float, record: bool):
+    P, R = np.array([r]), np.array([r])
+    p, j = r, 0
+    rr = float(r.dot(r))
+    alphas: list[float] = []
+    betas: list[float] = []
+    res_norms = [math.sqrt(rr)]
+
+    while True:
+        if res_norms[-1] <= stop:
+            stop_reason = CONVERGED
+            break
+        if len(alphas) >= cap:
+            stop_reason = MAX_ITERS
+            break
+        ap = apply(p)
+        curvature = float(p.dot(ap))
+        if curvature <= floor * float(p.dot(p)):
+            stop_reason = BREAKDOWN
+            break
+        alpha = rr / curvature
+        if j + 1 == len(P):
+            (P, R), x, j = _make_room((P, R), x, alphas, cap, record)
+        j += 1
+        r = np.subtract(r, alpha * ap, out=R[j])
+        rr_next = float(r.dot(r))
+        beta = rr_next / rr
+        p = np.add(r, beta * p, out=P[j])
+        rr = rr_next
+
+        alphas.append(alpha)
+        betas.append(beta)
+        res_norms.append(math.sqrt(rr))
+
+    x, xs, ps, rs = _finish((P, R), x, alphas, j, record)
+    return SolveTrace("cg", stop_reason, x, alphas, betas, res_norms, xs, rs, ps)
+
+
+def reference_cgls_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
+    cfg = cfg or SolverConfig()
+    a = as_matrix(a)
+    m, n = a.shape
+    b = _sized(b, m, "right-hand side")
+    x0 = _sized(x0, n, "initial guess")
+
+    at = a.T
+    r = b - a @ x0
+    s = at.dot(r)
+    cap = cfg.iteration_cap(n)
+    stop = (cfg.rel_tol * (float(np.linalg.norm(at @ b)) or float(np.linalg.norm(s)))) ** 2
+    floor = cfg.breakdown_tol * float(np.linalg.norm(a)) ** 2
+    P, R, S = np.array([s]), np.array([r]), np.array([s])
+    x, p, j = x0, s, 0
+    gamma = float(s.dot(s))
+
+    alphas: list[float] = []
+    betas: list[float] = []
+    res_norms = [math.sqrt(float(r.dot(r)))]
+    normal_res_norms = [math.sqrt(gamma)]
+
+    while True:
+        if gamma <= stop:
+            stop_reason = CONVERGED
+            break
+        if len(alphas) >= cap:
+            stop_reason = MAX_ITERS
+            break
+        q = a.dot(p)
+        qq = float(q.dot(q))
+        if qq <= floor * float(p.dot(p)):
+            stop_reason = BREAKDOWN
+            break
+        alpha = gamma / qq
+        if j + 1 == len(P):
+            (P, R, S), x, j = _make_room((P, R, S), x, alphas, cap, cfg.record_trace)
+        j += 1
+        r = np.subtract(r, alpha * q, out=R[j])
+        s = at.dot(r, out=S[j])
+        gamma_next = float(s.dot(s))
+        beta = gamma_next / gamma
+        p = np.add(s, beta * p, out=P[j])
+        gamma = gamma_next
+
+        alphas.append(alpha)
+        betas.append(beta)
+        res_norms.append(math.sqrt(float(r.dot(r))))
+        normal_res_norms.append(math.sqrt(gamma))
+
+    x, xs, ps, rs, ss = _finish((P, R, S), x, alphas, j, cfg.record_trace)
+    return SolveTrace("cgls", stop_reason, x, alphas, betas, res_norms, xs, rs, ps,
+                      normal_res_norms=normal_res_norms, normal_residuals=ss)
+
+
+@st.composite
+def loop_runs(draw):
+    """A solver run to repeat with the reference loops: a method, its problem and its config."""
+    kind = draw(st.sampled_from(["cg", "cgne", "cgls", "eigenbasis"]))
+    n = draw(st.integers(2, 40))
+    m = n if kind in ("cg", "eigenbasis") else draw(st.integers(2, 40))
+    gap = draw(st.one_of(st.just(0.0), st.floats(-6.0, 0.0).map(lambda u: 10.0**u)))
+    # a gap needs a rank-deficient range
+    rank = draw(st.integers(1, min(m, n) - (gap > 0.0)))
+    kappa = 10.0 ** draw(st.floats(0.0, 8.0))
+    spectrum = tuple(np.geomspace(1.0, 1.0 / kappa, rank)) + (0.0,) * (min(m, n) - rank)
+    spec = ProblemSpec("spsd" if kind in ("cg", "eigenbasis") else "rectangular", (m, n),
+                       spectrum, seed=draw(st.integers(0, 10**6)), consistency_gap=gap,
+                       x0_mode=draw(st.sampled_from(X0_MODES)))
+    cfg = SolverConfig(max_iters=draw(st.one_of(st.none(), st.integers(1, 3 * n))),
+                       record_trace=draw(st.booleans()))
+    return kind, make_problem(spec), 10.0 ** draw(st.floats(-12.0, 12.0)), cfg
+
+
+def _loop_run(kind, problem, c, cfg):
+    a, b = c * problem.a, c * problem.b
+    if kind == "cg":
+        return cg_solve(a, b, c * problem.x0, cfg)
+    if kind == "cgne":
+        return cgne_solve(a, b, np.zeros(a.shape[0]), cfg)
+    if kind == "cgls":
+        return cgls_solve(a, b, c * problem.x0, cfg)
+    return decomposed_cg_run(symmetric_eig(a), b, c * problem.x0, cfg.iteration_cap(len(b)))
+
+
+def test_trimmed_loops_equal_the_reference_loops():
+    """cg, cgne, cgls and the eigenbasis run give the reference loops' traces, pickle for pickle,
+    breakdowns among them."""
+    stops = collections.Counter()
+
+    @given(loop_runs())
+    @settings(max_examples=150, deadline=None)
+    def check(run):
+        kind, problem, c, cfg = run
+        trace = _loop_run(kind, problem, c, cfg)
+        if kind == "cgls":
+            want = reference_cgls_solve(c * problem.a, c * problem.b, c * problem.x0, cfg)
+        else:
+            with mock.patch.object(solvers, "_cg_recurrence", reference_cg_recurrence), \
+                    mock.patch.object(decomposition, "_cg_recurrence", reference_cg_recurrence):
+                want = _loop_run(kind, problem, c, cfg)
+        assert pickle.dumps(trace) == pickle.dumps(want)
+        stops[trace.stop_reason] += 1
+
+    check()
+    assert stops[BREAKDOWN] > 0, stops
 
 
 # State counts just below, at and just above the rows a history starts with and the rows of its
