@@ -65,9 +65,9 @@ def decomposed_cg_run(decomp: SpectralDecomposition, b, x0, iters: int,
     diag(Lambda_r, 0); the full matrix is never applied. The null block of
     the operator is zero, so r2 - alpha * 0 leaves the null residual at b2
     bit for bit. Stops early with stop_reason "breakdown" when the curvature
-    (p1, Lambda_r p1) falls to breakdown_tol * ||lambdas|| * ||p||^2 or
-    below, the plain solver's test with ||lambdas||, which is ||A||_F up to
-    rounding; the trace then records the iterations completed up to that point.
+    (p1, Lambda_r p1) falls to breakdown_tol * ||lambdas|| * ||p||^2 or below,
+    the plain solver's test with ||lambdas|| (||A||_F up to rounding), or when
+    r.r underflows to 0; the trace records the iterations completed until then.
     """
     b = _sized(b, decomp.dim, "right-hand side")
     x0 = _sized(x0, decomp.dim, "initial guess")

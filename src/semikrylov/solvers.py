@@ -23,10 +23,10 @@ All three always record the per-iteration scalars (step sizes and residual
 norms) and, unless trace recording is disabled, the vector history: each
 loop writes every residual and direction (and CGLS's s) once, in place,
 into the next row of a history array that doubles when full, and the trace
-holds views trimmed to the states written. No step reads x: the iterates
-are rebuilt after the loop by one ``np.add.accumulate`` over x_0,
-alpha_0 p_0, alpha_1 p_1, ..., bit for bit the textbook x + alpha p. An
-unrecorded run folds a fixed 64-row block into x that way whenever it fills.
+holds views trimmed to the states written (unrecorded: empty arrays of its
+own). No step reads x: the iterates are rebuilt after the loop by one
+``np.add.accumulate`` over x_0, alpha_0 p_0, ..., bit for bit the textbook
+x + alpha p. An unrecorded run folds a 64-row block into x that way when full.
 
 At desk scale the loops are bound by numpy dispatch, not flops, so they use
 ``ndarray.dot`` and ``math.sqrt``, bit for bit ``@`` and ``np.linalg.norm``,
@@ -146,19 +146,18 @@ def _make_room(bufs, x, alphas, cap: int, record: bool):
 
 def _finish(bufs, x, alphas, j: int, record: bool):
     """The final x, then the iterate history and ``bufs`` trimmed to the j + 1 states written
-    (to zero rows when unrecorded)."""
+    (copied to zero rows when unrecorded)."""
     xs = _iterates(x, bufs[0][:j], alphas[len(alphas) - j:])
-    rows = j + 1 if record else 0
-    return xs[-1].copy(), *(h[:rows] for h in (xs, *bufs))
+    return xs[-1].copy(), *(h[:j + 1] if record else h[:0].copy() for h in (xs, *bufs))
 
 
 def _cg_recurrence(apply, x, r, cap: int, stop: float, floor: float, record: bool):
     """CG on the symmetric positive semidefinite operator ``apply`` from x, with r = b - A x.
 
     Stops with "converged" once ||r_i|| <= stop, "max_iters" after ``cap``
-    iterations, or "breakdown" when (A p_i, p_i) <= floor * ||p_i||^2, floor >= 0.
-    ``apply`` must return a new array: the loop scales it in place. Returns a
-    SolveTrace labelled "cg", its histories written as the module notes describe.
+    iterations, or "breakdown" when (A p_i, p_i) <= floor * ||p_i||^2, floor >= 0,
+    or r_i.r_i = 0 (stop < 0 only). ``apply`` must return a new array, which the
+    loop scales in place. Returns a "cg" SolveTrace, histories as the module notes say.
     """
     P, R = np.array([r]), np.array([r])
     p, j, rows, scaled = r, 0, 1, np.empty_like(r)
@@ -178,7 +177,7 @@ def _cg_recurrence(apply, x, r, cap: int, stop: float, floor: float, record: boo
             break
         ap = apply(p)
         curvature = float(p.dot(ap))
-        if not curvature > floor * (bound * bound) and curvature <= floor * float(p.dot(p)):
+        if rr == 0.0 or not curvature > floor * (bound * bound) and curvature <= floor * float(p.dot(p)):
             stop_reason = BREAKDOWN
             break
         alpha = rr / curvature

@@ -215,6 +215,15 @@ def test_unrecorded_trace_is_rejected(check):
         _unrecorded_traces()[check]()
 
 
+def test_a_trace_of_another_method_is_rejected():
+    a, b = np.diag([2.0, 1.0, 0.0]), [2.0, 1.0, 0.0]
+    dec, trace = symmetric_eig(a), cgls_solve(a, b, np.zeros(3))
+    with pytest.raises(ValueError, match="cg_bound_verify expects a cg trace"):
+        cg_bound_verify(trace, dec)
+    with pytest.raises(ValueError, match="equivalence_check expects a plain cg trace"):
+        equivalence_check(trace, decomposed_cg_run(dec, b, np.zeros(3), 2), dec, 1e-8)
+
+
 def looped_violations(measured, bound):
     """The violation scan one state at a time, as a reference."""
     m0, out = measured[0], []

@@ -438,6 +438,11 @@ class TestRunReportSerialization:
         assert target.read_text() == "second"
         assert list(tmp_path.iterdir()) == [target]
 
+    def test_atomic_write_of_bytes_raises_and_leaves_no_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_text_atomic(tmp_path / "file.txt", b"bytes")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("size", [1, 7, 1 << 20])
     def test_atomic_write_in_slices_keeps_the_text(self, tmp_path, monkeypatch, size):
         monkeypatch.setattr("semikrylov.report._WRITE_SLICE", size)
@@ -707,6 +712,18 @@ def test_diagnose_of_a_one_step_run_names_the_orthogonality_test(tmp_path, capsy
     capsys.readouterr()
     assert run_command(["diagnose", "--matrix", str(prob / "a.mtx"), "--rhs", str(prob / "b.mtx"),
                         "--x0", f"file:{prob / 'x0.mtx'}", "--iters", "5"]) == 2
+    assert capsys.readouterr().err == ("error: the plain run left nothing to compare: "
+                                       "its residuals lose orthogonality past 1e-10 at iteration 1\n")
+
+
+def test_diagnose_where_the_eigenbasis_residual_underflows_exits_2(tmp_path, capsys):
+    """On 1000 A, A = I from a 4 x 4 spec, the eigenbasis run, which never stops on convergence,
+    drives r.r to 0; it stops "breakdown" there rather than divide 0 by 0, so diagnose names the cause."""
+    problem = make_problem(ProblemSpec("spsd", (4, 4), (1.0,) * 4, seed=0))
+    save_matrix_market(tmp_path / "a.mtx", 1000.0 * problem.a)
+    save_matrix_market(tmp_path / "b.mtx", (1000.0 * problem.b).reshape(-1, 1))
+    assert run_command(["diagnose", "--matrix", str(tmp_path / "a.mtx"), "--rhs", str(tmp_path / "b.mtx"),
+                        "--iters", "40"]) == 2
     assert capsys.readouterr().err == ("error: the plain run left nothing to compare: "
                                        "its residuals lose orthogonality past 1e-10 at iteration 1\n")
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from krylov_reference import textbook_cg
 
 from semikrylov import cli, decomposition
 from semikrylov.cli import DIAGNOSE_TOL, run_command
@@ -21,27 +22,6 @@ from semikrylov.report import RunReport
 from semikrylov.solvers import SolverConfig, cg_solve
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
-def reference_cg_on_diagonal(lam, b1, iters):
-    """Plain CG recurrence on a diagonal positive definite block."""
-    x = np.zeros_like(b1)
-    r = b1.copy()
-    p = r.copy()
-    rr = float(r @ r)
-    states = [x.copy()]
-    for _ in range(iters):
-        lp = lam * p
-        curvature = float(p @ lp)
-        alpha = rr / curvature
-        x = x + alpha * p
-        r = r - alpha * lp
-        rr_next = float(r @ r)
-        beta = rr_next / rr
-        p = r + beta * p
-        rr = rr_next
-        states.append(x.copy())
-    return states
 
 
 class TestDecomposedCgRun:
@@ -83,9 +63,19 @@ class TestDecomposedCgRun:
         b_range = dec.q1 @ (dec.q1.T @ problem.b)  # exactly consistent in the eigenbasis
         dtrace = decomposed_cg_run(dec, b_range, np.zeros(12), 6)
         b1 = dec.q1.T @ b_range
-        reference = reference_cg_on_diagonal(dec.lambdas_r, b1, dtrace.iterations)
-        for mine, ref in zip(dtrace.x1, reference):
-            np.testing.assert_array_equal(mine, ref)
+        want = textbook_cg(lambda p: dec.lambdas_r * p, np.zeros_like(b1), b1, 6, -1.0, 0.0)
+        assert dtrace.stop_reason == "completed" and want["stop_reason"] == "max_iters"
+        for block, key in [(dtrace.x1, "xs"), (dtrace.r1, "rs"), (dtrace.p1, "ps")]:
+            np.testing.assert_array_equal(block, want[key])
+
+    @pytest.mark.parametrize("breakdown_tol", [1e-14, 1e-300])
+    def test_a_residual_that_underflows_to_zero_breaks_down(self, breakdown_tol):
+        """On 1000 A, A = I from a 4 x 4 spec, r.r underflows to 0, and a step from there would
+        divide 0 by 0. At 1e-300 the floor times the bound on ||p||^2 underflows too."""
+        problem = make_problem(ProblemSpec("spsd", (4, 4), (1.0,) * 4, seed=0))
+        dtrace = decomposed_cg_run(symmetric_eig(1000.0 * problem.a), 1000.0 * problem.b, np.zeros(4), 40,
+                                   breakdown_tol)
+        assert dtrace.stop_reason == "breakdown" and dtrace.iterations == 11
 
     def test_rejects_negative_iters(self):
         dec = symmetric_eig(np.eye(2))
@@ -169,10 +159,13 @@ class TestEquivalenceCheck:
 
     @pytest.mark.parametrize("seed, cycle, kind", [
         (907, 568, "cg_inconsistent"), (1705, 722, "cg_consistent"), (5, 178, "cg_consistent"),
+        pytest.param(2410, 1071, "cg_inconsistent", marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 7: the window and DIAGNOSE_TOL are fixed constants, not a rounding model; "
+            "this run breaks down at 205 and deviates by 1.48e-8 over the 17 iterations compared"))),
     ])
     def test_krylov_traces_runs_at_rounding_level_pass(self, monkeypatch, tmp_path, seed, cycle, kind):
-        """Three runs of the krylov_traces benchmark whose blocks, each measured against
-        max(its own norm, 1), deviated by 1.06e-8 to 1.41e-8."""
+        """Runs of the krylov_traces benchmark: the first three, their blocks each measured against
+        max(its own norm, 1), deviated by 1.06e-8 to 1.41e-8; the fourth fails against the largest state."""
         monkeypatch.syspath_prepend(str(BENCH))
         import workloads
 

@@ -38,6 +38,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             as_vector([np.inf])
 
+    def test_as_matrix_rejects_an_empty_dimension(self):
+        with pytest.raises(ValueError, match=r"matrix dimensions must be positive, got \(0, 3\)"):
+            as_matrix(np.zeros((0, 3)))
+
+    def test_as_vector_rejects_non_1d(self):
+        with pytest.raises(ValueError, match="expected a 1-d vector, got ndim=2"):
+            as_vector(np.zeros((2, 2)))
+
 
 class TestMatvec:
     def test_identity(self):
@@ -150,6 +158,12 @@ class TestSvd:
         sd = svd([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
         np.testing.assert_allclose(sd.sigmas, [1.0, 0.0], atol=1e-14)
         assert sd.rank == 1
+
+    def test_v2_spans_the_null_space(self):
+        a = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        v2 = svd(a).v2
+        assert v2.shape == (3, 2)
+        np.testing.assert_array_equal(a @ v2, np.zeros((2, 2)))
 
     def test_known_singular_values(self):
         # A^T A has eigenvalues 4 and 1, so the singular values are 2 and 1

@@ -1,24 +1,24 @@
 import collections
+import dataclasses
 import functools
 import math
-import pickle
 import sys
 import tracemalloc
+import types
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from krylov_reference import textbook_cg, textbook_cgls
 
-from semikrylov import decomposition, solvers
+from semikrylov import solvers
 from semikrylov.decomposition import decomposed_cg_run
 from semikrylov.genmat import X0_MODES, ProblemSpec, make_problem
-from semikrylov.linalg import _sized, as_matrix, symmetric_eig
+from semikrylov.linalg import symmetric_eig
 from semikrylov.oracle import pinv_apply_rect, pseudoinverse_apply, split
-from semikrylov.solvers import (BREAKDOWN, CONVERGED, MAX_ITERS, SolverConfig, SolveTrace, _cg_recurrence,
-                                _finish, _make_room, cg_solve, cgls_solve, cgne_solve)
+from semikrylov.solvers import BREAKDOWN, SolverConfig, _cg_recurrence, cg_solve, cgls_solve, cgne_solve
 from semikrylov.linalg import svd
 
 
@@ -192,10 +192,10 @@ class TestCglsSolve:
 
     def test_breakdown_on_a_direction_with_a_numerically_zero_image(self):
         # p_1 is about (1e-18, 1e-9): ||A p_1||^2 = 2e-36 <= 1e-14 ||A||_F^2 ||p_1||^2 = 1e-32
-        a, b = np.diag([1.0, 1e-9]), np.array([1.0, 1.0])
-        trace = cgls_solve(a, b, np.zeros(2))
+        problem = types.SimpleNamespace(a=np.diag([1.0, 1e-9]), b=np.array([1.0, 1.0]), x0=np.zeros(2))
+        trace, want = _cgls_case(problem, SolverConfig())
         assert trace.stop_reason == "breakdown" and trace.iterations == 1
-        assert pickle.dumps(trace) == pickle.dumps(reference_cgls_solve(a, b, np.zeros(2)))
+        _check_run(trace, want, True)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -395,64 +395,6 @@ def test_runs_do_not_depend_on_scale(u):
             assert _true_error(run.x, reference) <= 1e-6, name
 
 
-def textbook_cg(apply, x, r, cap, stop, floor):
-    """CG as it reads in the textbook, with ``@`` and ``np.sqrt``, keeping every state."""
-    p, rr = r, float(r @ r)
-    run = {"alphas": [], "betas": [], "res_norms": [float(np.sqrt(rr))], "xs": [x], "rs": [r], "ps": [p]}
-    while True:
-        if np.sqrt(rr) <= stop:
-            return run | {"stop_reason": "converged", "x": x}
-        if len(run["alphas"]) >= cap:
-            return run | {"stop_reason": "max_iters", "x": x}
-        ap = apply(p)
-        curvature = float(p @ ap)
-        if curvature <= floor * float(p @ p):
-            return run | {"stop_reason": "breakdown", "x": x}
-        alpha = rr / curvature
-        x = x + alpha * p
-        r = r - alpha * ap
-        rr_next = float(r @ r)
-        beta = rr_next / rr
-        p = r + beta * p
-        rr = rr_next
-        run["alphas"].append(alpha)
-        run["betas"].append(beta)
-        run["res_norms"].append(float(np.sqrt(rr)))
-        run["xs"].append(x)
-        run["rs"].append(r)
-        run["ps"].append(p)
-
-
-def textbook_cgls(a, b, x, cap, stop, floor):
-    """CGLS in the same form, with ``@``, ``np.linalg.norm`` and ``np.sqrt``."""
-    r = b - a @ x
-    s = a.T @ r
-    p, gamma = s, float(s @ s)
-    run = {"alphas": [], "betas": [], "res_norms": [float(np.linalg.norm(r))],
-           "normal_res_norms": [float(np.sqrt(gamma))], "xs": [x], "rs": [r], "ps": [p], "ss": [s]}
-    while True:
-        if gamma <= stop:
-            return run | {"stop_reason": "converged", "x": x}
-        if len(run["alphas"]) >= cap:
-            return run | {"stop_reason": "max_iters", "x": x}
-        q = a @ p
-        qq = float(q @ q)
-        if qq <= floor * float(p @ p):
-            return run | {"stop_reason": "breakdown", "x": x}
-        alpha = gamma / qq
-        x = x + alpha * p
-        r = r - alpha * q
-        s = a.T @ r
-        gamma_next = float(s @ s)
-        beta = gamma_next / gamma
-        p = s + beta * p
-        gamma = gamma_next
-        for key, value in [("alphas", alpha), ("betas", beta), ("res_norms", float(np.linalg.norm(r))),
-                           ("normal_res_norms", float(np.sqrt(gamma))), ("xs", x), ("rs", r), ("ps", p),
-                           ("ss", s)]:
-            run[key].append(value)
-
-
 def _bit_identical(got, want):
     assert np.array_equal(np.asarray(got), np.asarray(want)), "differs"
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
@@ -467,286 +409,28 @@ def _bit_problem(kind, consistent):
     return make_problem(spec)
 
 
-class CountingOperator:
-    def __init__(self, a):
-        self.a, self.calls = a, 0
-
-    def __call__(self, p):
-        self.calls += 1
-        return self.a @ p
-
-
-class TestBitIdenticalToTextbookLoops:
-    """The loops use ndarray.dot and math.sqrt; every result equals the ``@``/np.linalg.norm form."""
-
-    @pytest.mark.parametrize("consistent", [True, False])
-    def test_cg_solve(self, consistent):
-        problem = _bit_problem("spsd", consistent)
-        a, b, x0 = problem.a, problem.b, problem.x0
-        trace = cg_solve(a, b, x0)
-        r = b - a @ x0
-        want = textbook_cg(lambda p: a @ p, x0, r, 10 * 30, 1e-12 * (np.linalg.norm(b) or np.linalg.norm(r)),
-                           1e-14 * np.linalg.norm(a))
-        assert trace.stop_reason == want["stop_reason"] == ("converged" if consistent else "breakdown")
-        for got, key in [(trace.alphas, "alphas"), (trace.betas, "betas"), (trace.res_norms, "res_norms"),
-                         (trace.x, "x"), (trace.iterates, "xs"), (trace.residuals, "rs"),
-                         (trace.directions, "ps")]:
-            _bit_identical(got, want[key])
-
-    @pytest.mark.parametrize("consistent", [True, False])
-    def test_cgne_solve(self, consistent):
-        problem = _bit_problem("wide" if consistent else "tall", consistent)
-        a, b = problem.a, problem.b
-        y0 = np.random.default_rng(45).standard_normal(a.shape[0])
-        trace = cgne_solve(a, b, y0)
-        r = b - a @ (a.T @ y0)
-        want = textbook_cg(lambda p: a @ (a.T @ p), y0, r, 10 * a.shape[0],
-                           1e-12 * (np.linalg.norm(b) or np.linalg.norm(r)), 1e-14 * np.linalg.norm(a) ** 2)
-        assert trace.stop_reason == want["stop_reason"] == ("converged" if consistent else "breakdown")
-        ys = np.array(want["xs"])
-        for got, wanted in [(trace.alphas, want["alphas"]), (trace.betas, want["betas"]),
-                            (trace.res_norms, want["res_norms"]), (trace.y, want["x"]),
-                            (trace.y_iterates, ys), (trace.x, a.T @ want["x"]), (trace.iterates, ys @ a),
-                            (trace.residuals, want["rs"]), (trace.directions, want["ps"])]:
-            _bit_identical(got, wanted)
-
-    @pytest.mark.parametrize("consistent", [True, False])
-    def test_cgls_solve(self, consistent):
-        problem = _bit_problem("tall", consistent)
-        a, b, x0 = problem.a, problem.b, problem.x0
-        trace = cgls_solve(a, b, x0)
-        stop = (1e-12 * (np.linalg.norm(a.T @ b) or np.linalg.norm(a.T @ (b - a @ x0)))) ** 2
-        want = textbook_cgls(a, b, x0, 10 * 30, stop, 1e-14 * np.linalg.norm(a) ** 2)
-        assert trace.stop_reason == want["stop_reason"]
-        assert trace.iterations > 10
-        for got, key in [(trace.alphas, "alphas"), (trace.betas, "betas"), (trace.res_norms, "res_norms"),
-                         (trace.normal_res_norms, "normal_res_norms"), (trace.x, "x"),
-                         (trace.iterates, "xs"), (trace.residuals, "rs"), (trace.directions, "ps"),
-                         (trace.normal_residuals, "ss")]:
-            _bit_identical(got, want[key])
-
-    @pytest.mark.parametrize("consistent", [True, False])
-    def test_decomposed_cg_run(self, consistent):
-        problem = _bit_problem("spsd", consistent)
-        dec = symmetric_eig(problem.a)
-        b, x0, rank = problem.b, problem.x0, dec.rank
-        # past the plain run's 32 (consistent) or 30 iterations, so that both runs break down
-        iters = 300
-        dtrace = decomposed_cg_run(dec, b, x0, iters)
-        lam_full = np.concatenate([dec.lambdas_r, np.zeros(dec.dim - rank)])
-        b1, b2 = split(dec, b).range_part, split(dec, b).null_part
-        x1, x2 = split(dec, x0).range_part, split(dec, x0).null_part
-        x, r = np.concatenate([x1, x2]), np.concatenate([b1 - dec.lambdas_r * x1, b2])
-        want = textbook_cg(lambda p: lam_full * p, x, r, iters, -1.0, 1e-14 * np.linalg.norm(dec.lambdas))
-        assert dtrace.stop_reason == want["stop_reason"] == "breakdown"
-        _bit_identical(dtrace.alphas, want["alphas"])
-        _bit_identical(dtrace.betas, want["betas"])
-        for block, key in [((dtrace.x1, dtrace.x2), "xs"), ((dtrace.r1, dtrace.r2), "rs"),
-                           ((dtrace.p1, dtrace.p2), "ps")]:
-            _bit_identical(np.hstack(block), want[key])
-
-    @pytest.mark.parametrize("consistent, cap, reason", [
-        (True, 300, "converged"), (False, 300, "breakdown"), (True, 5, "max_iters"),
-    ])
-    def test_operator_applied_once_per_iteration(self, consistent, cap, reason):
-        problem = _bit_problem("spsd", consistent)
-        a, b, x0 = problem.a, problem.b, problem.x0
-        apply = CountingOperator(a)
-        run = _cg_recurrence(apply, x0, b - a @ x0, cap, 1e-12 * np.linalg.norm(b), 1e-14, False)
-        assert run.stop_reason == reason
-        # a breakdown is found after one more apply, for the attempt that did not complete
-        assert apply.calls == run.iterations + (reason == "breakdown")
-
-
-# The two Krylov loops as they were before they evaluated ||p||^2 only where a bound on ||p||
-# cannot rule breakdown out and stopped allocating per step, kept verbatim as references.
-def reference_cg_recurrence(apply, x, r, cap: int, stop: float, floor: float, record: bool):
-    P, R = np.array([r]), np.array([r])
-    p, j = r, 0
-    rr = float(r.dot(r))
-    alphas: list[float] = []
-    betas: list[float] = []
-    res_norms = [math.sqrt(rr)]
-
-    while True:
-        if res_norms[-1] <= stop:
-            stop_reason = CONVERGED
-            break
-        if len(alphas) >= cap:
-            stop_reason = MAX_ITERS
-            break
-        ap = apply(p)
-        curvature = float(p.dot(ap))
-        if curvature <= floor * float(p.dot(p)):
-            stop_reason = BREAKDOWN
-            break
-        alpha = rr / curvature
-        if j + 1 == len(P):
-            (P, R), x, j = _make_room((P, R), x, alphas, cap, record)
-        j += 1
-        r = np.subtract(r, alpha * ap, out=R[j])
-        rr_next = float(r.dot(r))
-        beta = rr_next / rr
-        p = np.add(r, beta * p, out=P[j])
-        rr = rr_next
-
-        alphas.append(alpha)
-        betas.append(beta)
-        res_norms.append(math.sqrt(rr))
-
-    x, xs, ps, rs = _finish((P, R), x, alphas, j, record)
-    return SolveTrace("cg", stop_reason, x, alphas, betas, res_norms, xs, rs, ps)
-
-
-def reference_cgls_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
-    cfg = cfg or SolverConfig()
-    a = as_matrix(a)
-    m, n = a.shape
-    b = _sized(b, m, "right-hand side")
-    x0 = _sized(x0, n, "initial guess")
-
-    at = a.T
-    r = b - a @ x0
-    s = at.dot(r)
-    cap = cfg.iteration_cap(n)
-    stop = (cfg.rel_tol * (float(np.linalg.norm(at @ b)) or float(np.linalg.norm(s)))) ** 2
-    floor = cfg.breakdown_tol * float(np.linalg.norm(a)) ** 2
-    P, R, S = np.array([s]), np.array([r]), np.array([s])
-    x, p, j = x0, s, 0
-    gamma = float(s.dot(s))
-
-    alphas: list[float] = []
-    betas: list[float] = []
-    res_norms = [math.sqrt(float(r.dot(r)))]
-    normal_res_norms = [math.sqrt(gamma)]
-
-    while True:
-        if gamma <= stop:
-            stop_reason = CONVERGED
-            break
-        if len(alphas) >= cap:
-            stop_reason = MAX_ITERS
-            break
-        q = a.dot(p)
-        qq = float(q.dot(q))
-        if qq <= floor * float(p.dot(p)):
-            stop_reason = BREAKDOWN
-            break
-        alpha = gamma / qq
-        if j + 1 == len(P):
-            (P, R, S), x, j = _make_room((P, R, S), x, alphas, cap, cfg.record_trace)
-        j += 1
-        r = np.subtract(r, alpha * q, out=R[j])
-        s = at.dot(r, out=S[j])
-        gamma_next = float(s.dot(s))
-        beta = gamma_next / gamma
-        p = np.add(s, beta * p, out=P[j])
-        gamma = gamma_next
-
-        alphas.append(alpha)
-        betas.append(beta)
-        res_norms.append(math.sqrt(float(r.dot(r))))
-        normal_res_norms.append(math.sqrt(gamma))
-
-    x, xs, ps, rs, ss = _finish((P, R, S), x, alphas, j, cfg.record_trace)
-    return SolveTrace("cgls", stop_reason, x, alphas, betas, res_norms, xs, rs, ps,
-                      normal_res_norms=normal_res_norms, normal_residuals=ss)
-
-
-@st.composite
-def loop_runs(draw):
-    """A solver run to repeat with the reference loops: a method, its problem and its config."""
-    kind = draw(st.sampled_from(["cg", "cgne", "cgls", "eigenbasis"]))
-    n = draw(st.integers(2, 40))
-    m = n if kind in ("cg", "eigenbasis") else draw(st.integers(2, 40))
-    gap = draw(st.one_of(st.just(0.0), st.floats(-6.0, 0.0).map(lambda u: 10.0**u)))
-    # a gap needs a rank-deficient range
-    rank = draw(st.integers(1, min(m, n) - (gap > 0.0)))
-    kappa = 10.0 ** draw(st.floats(0.0, 8.0))
-    spectrum = tuple(np.geomspace(1.0, 1.0 / kappa, rank)) + (0.0,) * (min(m, n) - rank)
-    spec = ProblemSpec("spsd" if kind in ("cg", "eigenbasis") else "rectangular", (m, n),
-                       spectrum, seed=draw(st.integers(0, 10**6)), consistency_gap=gap,
-                       x0_mode=draw(st.sampled_from(X0_MODES)))
-    cfg = SolverConfig(max_iters=draw(st.one_of(st.none(), st.integers(1, 3 * n))),
-                       record_trace=draw(st.booleans()))
-    return kind, make_problem(spec), 10.0 ** draw(st.floats(-12.0, 12.0)), cfg
-
-
-def _loop_run(kind, problem, c, cfg):
-    a, b = c * problem.a, c * problem.b
-    if kind == "cg":
-        return cg_solve(a, b, c * problem.x0, cfg)
-    if kind == "cgne":
-        return cgne_solve(a, b, np.zeros(a.shape[0]), cfg)
-    if kind == "cgls":
-        return cgls_solve(a, b, c * problem.x0, cfg)
-    return decomposed_cg_run(symmetric_eig(a), b, c * problem.x0, cfg.iteration_cap(len(b)))
-
-
-def test_trimmed_loops_equal_the_reference_loops():
-    """cg, cgne, cgls and the eigenbasis run give the reference loops' traces, pickle for pickle,
-    breakdowns among them."""
-    stops = collections.Counter()
-
-    @given(loop_runs())
-    @settings(max_examples=150, deadline=None)
-    def check(run):
-        kind, problem, c, cfg = run
-        trace = _loop_run(kind, problem, c, cfg)
-        if kind == "cgls":
-            want = reference_cgls_solve(c * problem.a, c * problem.b, c * problem.x0, cfg)
-        else:
-            with mock.patch.object(solvers, "_cg_recurrence", reference_cg_recurrence), \
-                    mock.patch.object(decomposition, "_cg_recurrence", reference_cg_recurrence):
-                want = _loop_run(kind, problem, c, cfg)
-        assert pickle.dumps(trace) == pickle.dumps(want)
-        stops[trace.stop_reason] += 1
-
-    check()
-    assert stops[BREAKDOWN] > 0, stops
-
-
-# State counts just below, at and just above the rows a history starts with and the rows of its
-# first doubling; an unrecorded run folds its block when those first rows fill.
-BOUNDARY_STATES = [rows + d for rows in (solvers._BLOCK, 2 * solvers._BLOCK) for d in (-1, 0, 1)]
 HISTORIES = {"iterates": "xs", "residuals": "rs", "directions": "ps", "normal_residuals": "ss",
              "y_iterates": "ys"}
 
 
-@functools.lru_cache(maxsize=None)
-def _slow_problem(kind):
-    """A problem no solver finishes within 2 * _BLOCK + 1 states, so the cap sets the count."""
-    n, zeros = 200, 20
-    if kind == "spsd":
-        return make_problem(ProblemSpec("spsd", (n, n), tuple(np.geomspace(1.0, 1e-6, n - zeros))
-                                        + (0.0,) * zeros, seed=7, x0_mode="random_full"))
-    dims, zeros, gap = {"tall": ((220, n), 20, 1e-2), "wide": ((180, n), 0, 0.0)}[kind]
-    spectrum = tuple(np.geomspace(1.0, 1e-3, 180)) + (0.0,) * zeros
-    return make_problem(ProblemSpec("rectangular", dims, spectrum, seed=7, consistency_gap=gap,
-                                    x0_mode="random_full"))
-
-
 def _check_run(trace, want, record):
-    """``trace`` is the textbook run ``want`` bit for bit; unrecorded histories have zero rows."""
+    """``trace`` is the textbook run ``want`` bit for bit: its scalars are Python floats, unrecorded
+    histories have zero rows, and the fields the textbook run has no key for are None."""
     assert trace.stop_reason == want["stop_reason"]
+    assert {type(v) for v in trace.alphas + trace.betas + trace.res_norms} <= {float}
     for key in ("alphas", "betas", "res_norms", "normal_res_norms", "x", "y"):
         if key in want:
             _bit_identical(getattr(trace, key), want[key])
+        else:
+            assert getattr(trace, key) is None, key
     for field, key in HISTORIES.items():
-        if key in want:
-            got = getattr(trace, field)
-            if record:
-                _bit_identical(got, want[key])
-            else:
-                assert got.shape == (0, np.shape(want[key])[1])
-
-
-def _eigenbasis_start(dec, b, x0):
-    """The diagonal operator, x and r with which decomposed_cg_run starts its recurrence."""
-    lam_full = np.concatenate([dec.lambdas_r, np.zeros(dec.dim - dec.rank)])
-    b1, b2 = split(dec, b).range_part, split(dec, b).null_part
-    x1, x2 = split(dec, x0).range_part, split(dec, x0).null_part
-    return (lambda p: lam_full * p), np.concatenate([x1, x2]), np.concatenate([b1 - dec.lambdas_r * x1, b2])
+        got = getattr(trace, field)
+        if key not in want:
+            assert got is None, field
+        elif record:
+            _bit_identical(got, want[key])
+        else:
+            assert got.shape == (0, np.shape(want[key])[1])
 
 
 def _cg_case(problem, cfg):
@@ -765,9 +449,10 @@ def _cgls_case(problem, cfg):
     return cgls_solve(a, b, x0, cfg), textbook_cgls(a, b, x0, cfg.iteration_cap(a.shape[1]), stop, floor)
 
 
-def _cgne_case(problem, cfg):
+def _cgne_case(problem, cfg, y0=None):
+    """cgne from y0, a seeded random start by default."""
     a, b = problem.a, problem.b
-    y0 = np.random.default_rng(45).standard_normal(a.shape[0])
+    y0 = np.random.default_rng(45).standard_normal(a.shape[0]) if y0 is None else y0
     cap = cfg.iteration_cap(a.shape[0])
     r = b - a @ (a.T @ y0)
     stop = cfg.rel_tol * (np.linalg.norm(b) or np.linalg.norm(r))
@@ -782,10 +467,13 @@ SOLVER_CASES = {"cg": (_cg_case, "spsd"), "cgls": (_cgls_case, "tall"), "cgne": 
 
 
 def _decomposed_case(problem, iters):
+    """decomposed_cg_run against textbook CG on diag(Lambda_r, 0) from the rotated start."""
     dec = symmetric_eig(problem.a)
-    apply, x, r = _eigenbasis_start(dec, problem.b, problem.x0)
+    (b1, b2), (x1, x2) = [(split(dec, v).range_part, split(dec, v).null_part) for v in (problem.b, problem.x0)]
+    lam_full = np.concatenate([dec.lambdas_r, np.zeros(dec.dim - dec.rank)])
+    x, r = np.concatenate([x1, x2]), np.concatenate([b1 - dec.lambdas_r * x1, b2])
+    want = textbook_cg(lambda p: lam_full * p, x, r, iters, -1.0, 1e-14 * np.linalg.norm(dec.lambdas))
     dtrace = decomposed_cg_run(dec, problem.b, problem.x0, iters)
-    want = textbook_cg(apply, x, r, iters, -1.0, 1e-14 * np.linalg.norm(dec.lambdas))
     assert (dtrace.stop_reason, want["stop_reason"]) in [("completed", "max_iters"),
                                                          ("breakdown", "breakdown")]
     _bit_identical(dtrace.alphas, want["alphas"])
@@ -794,6 +482,119 @@ def _decomposed_case(problem, iters):
                        ((dtrace.p1, dtrace.p2), "ps")]:
         _bit_identical(np.hstack(block), want[key])
     return dtrace
+
+
+class TestBitIdenticalToTextbookLoops:
+    """The loops use ndarray.dot and math.sqrt; every result equals the textbook's ``@``/np.sqrt form.
+
+    One comparison, through the case builders, serves the four loops; each keeps its test name."""
+
+    @staticmethod
+    def _compare(method, consistent):
+        problem = _bit_problem({"cg": "spsd", "cgls": "tall", "cgne": "wide" if consistent else "tall",
+                                "eigenbasis": "spsd"}[method], consistent)
+        if method == "eigenbasis":
+            # past the plain run's 32 (consistent) or 30 iterations, so that both runs break down
+            assert _decomposed_case(problem, 300).stop_reason == "breakdown"
+            return
+        trace, want = SOLVER_CASES[method][0](problem, SolverConfig())
+        _check_run(trace, want, True)
+        if method == "cgls":
+            assert trace.iterations > 10
+        else:
+            assert trace.stop_reason == ("converged" if consistent else "breakdown")
+
+    @pytest.mark.parametrize("consistent", [True, False])
+    def test_cg_solve(self, consistent):
+        self._compare("cg", consistent)
+
+    @pytest.mark.parametrize("consistent", [True, False])
+    def test_cgne_solve(self, consistent):
+        self._compare("cgne", consistent)
+
+    @pytest.mark.parametrize("consistent", [True, False])
+    def test_cgls_solve(self, consistent):
+        self._compare("cgls", consistent)
+
+    @pytest.mark.parametrize("consistent", [True, False])
+    def test_decomposed_cg_run(self, consistent):
+        self._compare("eigenbasis", consistent)
+
+    @pytest.mark.parametrize("consistent, cap, reason", [
+        (True, 300, "converged"), (False, 300, "breakdown"), (True, 5, "max_iters"),
+    ])
+    def test_operator_applied_once_per_iteration(self, consistent, cap, reason):
+        problem = _bit_problem("spsd", consistent)
+        a, b, x0 = problem.a, problem.b, problem.x0
+        calls = []
+        run = _cg_recurrence(lambda p: calls.append(p) or a @ p, x0, b - a @ x0, cap,
+                             1e-12 * np.linalg.norm(b), 1e-14, False)
+        assert run.stop_reason == reason
+        # a breakdown is found after one more apply, for the attempt that did not complete
+        assert len(calls) == run.iterations + (reason == "breakdown")
+
+
+@st.composite
+def loop_runs(draw):
+    """A solver run to repeat with the textbook loops: a method, its problem, a scale and its config."""
+    kind = draw(st.sampled_from(["cg", "cgne", "cgls", "eigenbasis"]))
+    n = draw(st.integers(2, 40))
+    m = n if kind in ("cg", "eigenbasis") else draw(st.integers(2, 40))
+    gap = draw(st.one_of(st.just(0.0), st.floats(-6.0, 0.0).map(lambda u: 10.0**u)))
+    # a gap needs a rank-deficient range
+    rank = draw(st.integers(1, min(m, n) - (gap > 0.0)))
+    kappa = 10.0 ** draw(st.floats(0.0, 8.0))
+    spectrum = tuple(np.geomspace(1.0, 1.0 / kappa, rank)) + (0.0,) * (min(m, n) - rank)
+    spec = ProblemSpec("spsd" if kind in ("cg", "eigenbasis") else "rectangular", (m, n),
+                       spectrum, seed=draw(st.integers(0, 10**6)), consistency_gap=gap,
+                       x0_mode=draw(st.sampled_from(X0_MODES)))
+    cfg = SolverConfig(max_iters=draw(st.one_of(st.none(), st.integers(1, 3 * n))),
+                       record_trace=draw(st.booleans()))
+    return kind, make_problem(spec), 10.0 ** draw(st.floats(-12.0, 12.0)), cfg
+
+
+def test_trimmed_loops_equal_the_reference_loops():
+    """cg, cgne (from zero), cgls and the eigenbasis run on (c A, c b) from c x0 are their textbook
+    runs bit for bit, breakdowns among them."""
+    stops = collections.Counter()
+
+    @given(loop_runs())
+    # A = I: the eigenbasis run's r.r underflows to 0 and it stops "breakdown" at 11, not 0 / 0
+    @example(("eigenbasis", make_problem(ProblemSpec("spsd", (4, 4), (1.0,) * 4, seed=0)), 1000.0,
+              SolverConfig(max_iters=40)))
+    @settings(max_examples=150, deadline=None)
+    def check(run):
+        kind, problem, c, cfg = run
+        problem = dataclasses.replace(problem, a=c * problem.a, b=c * problem.b, x0=c * problem.x0)
+        if kind == "eigenbasis":
+            stops[_decomposed_case(problem, cfg.iteration_cap(len(problem.b))).stop_reason] += 1
+            return
+        trace, want = (_cgne_case(problem, cfg, np.zeros(len(problem.b))) if kind == "cgne"
+                       else SOLVER_CASES[kind][0](problem, cfg))
+        assert trace.method == kind
+        _check_run(trace, want, cfg.record_trace)
+        stops[trace.stop_reason] += 1
+
+    check()
+    assert stops[BREAKDOWN] > 0, stops
+
+
+# State counts just below, at and just above the rows a history starts with and the rows of its
+# first doubling; an unrecorded run folds its block when those first rows fill.
+BOUNDARY_STATES = [rows + d for rows in (solvers._BLOCK, 2 * solvers._BLOCK) for d in (-1, 0, 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _slow_problem(kind):
+    """A problem no solver finishes within 2 * _BLOCK + 1 states, so the cap sets the count."""
+    n, zeros = 200, 20
+    if kind == "spsd":
+        return make_problem(ProblemSpec("spsd", (n, n), tuple(np.geomspace(1.0, 1e-6, n - zeros))
+                                        + (0.0,) * zeros, seed=7, x0_mode="random_full"))
+    dims, zeros, gap = {"tall": ((220, n), 20, 1e-2), "wide": ((180, n), 0, 0.0)}[kind]
+    spectrum = tuple(np.geomspace(1.0, 1e-3, 180)) + (0.0,) * zeros
+    return make_problem(ProblemSpec("rectangular", dims, spectrum, seed=7, consistency_gap=gap,
+                                    x0_mode="random_full"))
 
 
 class TestHistoryBoundaries:
@@ -863,6 +664,17 @@ class TestHistoryMemory:
             assert trace.iterations == iters
         # one fold block: the residual and direction rows it holds
         assert peaks[2000] - peaks[200] <= 2 * solvers._BLOCK * 400 * 8
+
+    def test_unrecorded_histories_own_their_empty_data(self):
+        # a view of zero rows would keep the last fold block alive for as long as the trace
+        spsd, tall, wide = _slow_problem("spsd"), _slow_problem("tall"), _slow_problem("wide")
+        cfg = SolverConfig(max_iters=2 * solvers._BLOCK + 7, record_trace=False)
+        for trace in [cg_solve(spsd.a, spsd.b, spsd.x0, cfg), cgls_solve(tall.a, tall.b, tall.x0, cfg),
+                      cgne_solve(wide.a, wide.b, np.zeros(180), cfg)]:
+            for field in HISTORIES:
+                rows = getattr(trace, field)
+                if rows is not None:
+                    assert len(rows) == 0 and rows.base is None, (trace.method, field)
 
     def test_history_rows_hold_exactly_their_bytes(self):
         tall, wide = _slow_problem("tall"), _slow_problem("wide")
