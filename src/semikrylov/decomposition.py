@@ -64,10 +64,10 @@ def decomposed_cg_run(decomp: SpectralDecomposition, b, x0, iters: int,
     This is the plain recurrence applied to the diagonal operator
     diag(Lambda_r, 0); the full matrix is never applied. The null block of
     the operator is zero, so r2 - alpha * 0 leaves the null residual at b2
-    bit for bit. Stops early with stop_reason "breakdown" when the curvature
-    (p1, Lambda_r p1) falls to breakdown_tol * ||lambdas|| * ||p||^2 or below,
-    the plain solver's test with ||lambdas|| (||A||_F up to rounding), or when
-    r.r underflows to 0; the trace records the iterations completed until then.
+    bit for bit. The stop test is the plain solver's at tolerance 0, and its
+    breakdown test uses ||lambdas|| (||A||_F up to rounding). A run that ends
+    before ``iters`` iterations, on breakdown or on a residual that computes to
+    zero, has stop_reason "breakdown" and records the iterations it completed.
     """
     b = _sized(b, decomp.dim, "right-hand side")
     x0 = _sized(x0, decomp.dim, "initial guess")
@@ -81,11 +81,10 @@ def decomposed_cg_run(decomp: SpectralDecomposition, b, x0, iters: int,
     x = np.concatenate([parts_x0.range_part, parts_x0.null_part])
     r = np.concatenate([b1 - decomp.lambdas_r * parts_x0.range_part, b2])
 
-    # stop = -1 never fires: the run does exactly ``iters`` iterations unless it breaks down
     floor = breakdown_tol * float(np.linalg.norm(decomp.lambdas))
-    run = _cg_recurrence(lambda p: lam_full * p, x, r, iters, -1.0, floor, True)
+    run = _cg_recurrence(lambda p: lam_full * p, x, r, iters, 0.0, floor, True)
     xs, rs, ps = run.iterates, run.residuals, run.directions
-    stop_reason = BREAKDOWN if run.stop_reason == BREAKDOWN else COMPLETED
+    stop_reason = COMPLETED if run.iterations == iters else BREAKDOWN
     return DecomposedTrace(xs[:, :rank], rs[:, :rank], ps[:, :rank], xs[:, rank:], rs[:, rank:],
                            ps[:, rank:], run.alphas, run.betas, b1, b2, stop_reason)
 

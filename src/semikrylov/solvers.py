@@ -12,12 +12,13 @@ a callable. CGLS keeps its own loop in the r/s form, which is numerically
 preferable to CG on A^T A (Bjorck 1996).
 
 Each stop test is relative to a size of the run, with no floor, so a run on
-(c A, c b) stops as the run on (A, b) does. "converged": ||r_i|| <= rel_tol
-||b|| (||A^T r_i|| <= rel_tol ||A^T b||, CGLS), with the start's value for a
-zero size. "breakdown", not a division: (A p, p) <= breakdown_tol ||A||_F
-||p||^2, or ||A^T p||^2 (CGNE), ||A p||^2 (CGLS) <= breakdown_tol ||A||_F^2
-||p||^2. It names the test, not a cause: p nearing the null space ends
-inconsistent runs, and consistent ones once rounding grows their null part.
+(c A, c b) stops as the run on (A, b) does. "converged", tested first: ||r_i||
+<= rel_tol ||b|| (||A^T r_i|| <= rel_tol ||A^T b||, CGLS), with the start's
+value for a zero size, so a zero residual stops here. "breakdown", not a
+division: (A p, p) <= breakdown_tol ||A||_F ||p||^2, or ||A^T p||^2 (CGNE),
+||A p||^2 (CGLS) <= breakdown_tol ||A||_F^2 ||p||^2. It names the test, not a
+cause: p nearing the null space ends inconsistent runs, and consistent ones
+once rounding grows their null part.
 
 All three always record the per-iteration scalars (step sizes and residual
 norms) and, unless trace recording is disabled, the vector history: each
@@ -88,6 +89,8 @@ class SolveTrace:
     more state than completed iterations. For cgls, ``normal_residuals`` holds
     s_i = A^T r_i. For cgne, ``iterates`` holds x_i = A^T y_i and
     ``y_iterates`` the underlying y_i; residuals are r_i = b - A A^T y_i.
+    Its ``x`` is one matvec A^T y, ``iterates`` one product over the y history,
+    so they can differ in the last bits; cg and cgls copy x from the last iterate.
     With trace recording disabled the vector arrays have zero rows and only
     the final x (and y), the norms, and the step scalars are populated.
     """
@@ -154,10 +157,10 @@ def _finish(bufs, x, alphas, j: int, record: bool):
 def _cg_recurrence(apply, x, r, cap: int, stop: float, floor: float, record: bool):
     """CG on the symmetric positive semidefinite operator ``apply`` from x, with r = b - A x.
 
-    Stops with "converged" once ||r_i|| <= stop, "max_iters" after ``cap``
-    iterations, or "breakdown" when (A p_i, p_i) <= floor * ||p_i||^2, floor >= 0,
-    or r_i.r_i = 0 (stop < 0 only). ``apply`` must return a new array, which the
-    loop scales in place. Returns a "cg" SolveTrace, histories as the module notes say.
+    Stops with "converged" once ||r_i|| <= stop, stop >= 0, "max_iters" after ``cap``
+    iterations, or "breakdown" when (A p_i, p_i) <= floor * ||p_i||^2, floor >= 0.
+    ``apply`` must return a new array, which the loop scales in place. Returns a
+    "cg" SolveTrace, histories as the module notes say.
     """
     P, R = np.array([r]), np.array([r])
     p, j, rows, scaled = r, 0, 1, np.empty_like(r)
@@ -177,7 +180,7 @@ def _cg_recurrence(apply, x, r, cap: int, stop: float, floor: float, record: boo
             break
         ap = apply(p)
         curvature = float(p.dot(ap))
-        if rr == 0.0 or not curvature > floor * (bound * bound) and curvature <= floor * float(p.dot(p)):
+        if not curvature > floor * (bound * bound) and curvature <= floor * float(p.dot(p)):
             stop_reason = BREAKDOWN
             break
         alpha = rr / curvature
@@ -235,9 +238,8 @@ def cg_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
 def cgls_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
     """CG on the normal equations A^T A x = A^T b, kept as two matvecs.
 
-    Tracks gamma_i = ||A^T r_i||^2 against the square of the module notes' stop
-    threshold; "breakdown" means a direction with numerically zero image.
-    Works for any m x n matrix, full rank or not.
+    Tests ||A^T r_i|| against the module notes' stop threshold, breakdown as a
+    direction with numerically zero image, for any m x n matrix of any rank.
     """
     cfg = cfg or SolverConfig()
     a = as_matrix(a)
@@ -249,7 +251,7 @@ def cgls_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
     r = b - a @ x0
     s = at.dot(r)
     cap = cfg.iteration_cap(n)
-    stop = (cfg.rel_tol * (float(np.linalg.norm(at @ b)) or float(np.linalg.norm(s)))) ** 2
+    stop = cfg.rel_tol * (float(np.linalg.norm(at @ b)) or float(np.linalg.norm(s)))
     floor = cfg.breakdown_tol * float(np.linalg.norm(a)) ** 2
     P, R, S = np.array([s]), np.array([r]), np.array([s])
     x, p, j, rows, scaled = x0, s, 0, 1, np.empty_like(s)
@@ -263,7 +265,7 @@ def cgls_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
     multiply, subtract, add, sqrt = np.multiply, np.subtract, np.add, math.sqrt
 
     while True:
-        if gamma <= stop:
+        if normal_res_norm <= stop:
             stop_reason = CONVERGED
             break
         if len(alphas) >= cap:
@@ -302,8 +304,6 @@ def cgne_solve(a, b, y0, cfg: SolverConfig | None = None) -> SolveTrace:
 
     The product A A^T p is applied as two successive matvecs; A A^T is never
     formed. Stopping mirrors cg_solve with residual r_i = b - A A^T y_i.
-    The returned trace carries both the y history and x_i = A^T y_i, which
-    is formed once from the whole y history after the loop.
     """
     cfg = cfg or SolverConfig()
     a = as_matrix(a)

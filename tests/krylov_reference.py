@@ -7,8 +7,8 @@ import numpy as np
 
 
 def textbook_cg(apply, x, r, cap, stop, floor):
-    """CG on ``apply`` from x, with r = b - A x: "converged" once ||r|| <= stop, "max_iters" after
-    ``cap`` steps, "breakdown" when (A p, p) <= floor ||p||^2 or r.r is 0."""
+    """CG on ``apply`` from x, with r = b - A x: "converged" once ||r|| <= stop, stop >= 0,
+    "max_iters" after ``cap`` steps, "breakdown" when (A p, p) <= floor ||p||^2."""
     p, rr = r, float(r @ r)
     run = {"alphas": [], "betas": [], "res_norms": [float(np.sqrt(rr))], "xs": [x], "rs": [r], "ps": [p]}
     while True:
@@ -18,7 +18,7 @@ def textbook_cg(apply, x, r, cap, stop, floor):
             return run | {"stop_reason": "max_iters", "x": x}
         ap = apply(p)
         curvature = float(p @ ap)
-        if rr == 0.0 or curvature <= floor * float(p @ p):
+        if curvature <= floor * float(p @ p):
             return run | {"stop_reason": "breakdown", "x": x}
         alpha = rr / curvature
         x = x + alpha * p
@@ -36,15 +36,15 @@ def textbook_cg(apply, x, r, cap, stop, floor):
 
 
 def textbook_cgls(a, b, x, cap, stop, floor):
-    """CGLS on the matrix ``a`` from x in the same form; ``stop`` bounds ||A^T r||^2, and
-    "breakdown" is ||A p||^2 <= floor ||p||^2."""
+    """CGLS on the matrix ``a`` from x in the same form; ``stop`` bounds ||A^T r|| = sqrt(gamma),
+    and "breakdown" is ||A p||^2 <= floor ||p||^2."""
     r = b - a @ x
     s = a.T @ r
     p, gamma = s, float(s @ s)
     run = {"alphas": [], "betas": [], "res_norms": [float(np.linalg.norm(r))],
            "normal_res_norms": [float(np.sqrt(gamma))], "xs": [x], "rs": [r], "ps": [p], "ss": [s]}
     while True:
-        if gamma <= stop:
+        if np.sqrt(gamma) <= stop:
             return run | {"stop_reason": "converged", "x": x}
         if len(run["alphas"]) >= cap:
             return run | {"stop_reason": "max_iters", "x": x}

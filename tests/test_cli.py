@@ -3,6 +3,8 @@ import importlib.util
 import io
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -370,9 +372,9 @@ class TestGenerateCommand:
         "payload",
         [[1, 2], "spsd", {"dims": 5}, {"spectrum": None}, {"consistency_gap": None},
          {"dims": [12.5, 12.5]}, {"dims": [True, True], "spectrum": [1.0]}, {"seed": 71.9},
-         {"seed": "71"}, {"consistency_gap": False}, {"spectrum": ["1.0"] * 12}],
+         {"seed": "71"}, {"consistency_gap": False}, {"spectrum": ["1.0"] * 12}, {"seed": -1}],
         ids=["list", "string", "int-dims", "null-spectrum", "null-gap", "float-dims", "bool-dims",
-             "float-seed", "string-seed", "bool-gap", "string-spectrum"],
+             "float-seed", "string-seed", "bool-gap", "string-spectrum", "negative-seed"],
     )
     def test_malformed_spec_exits_2(self, tmp_path, capsys, payload):
         spec_path = _spec_file(tmp_path)
@@ -717,8 +719,8 @@ def test_diagnose_of_a_one_step_run_names_the_orthogonality_test(tmp_path, capsy
 
 
 def test_diagnose_where_the_eigenbasis_residual_underflows_exits_2(tmp_path, capsys):
-    """On 1000 A, A = I from a 4 x 4 spec, the eigenbasis run, which never stops on convergence,
-    drives r.r to 0; it stops "breakdown" there rather than divide 0 by 0, so diagnose names the cause."""
+    """On 1000 A, A = I from a 4 x 4 spec, the eigenbasis run, whose stop tolerance is 0, drives r.r
+    to 0; it stops there, labelled "breakdown", rather than divide 0 by 0, so diagnose names the cause."""
     problem = make_problem(ProblemSpec("spsd", (4, 4), (1.0,) * 4, seed=0))
     save_matrix_market(tmp_path / "a.mtx", 1000.0 * problem.a)
     save_matrix_market(tmp_path / "b.mtx", (1000.0 * problem.b).reshape(-1, 1))
@@ -754,3 +756,23 @@ def test_verify_bounds_at_rank_0_exits_2(tmp_path, capsys, method, spec):
     assert run_command(["verify-bounds", "--method", method, "--spec",
                         str(tmp_path / "specs" / f"{spec}.json"), "--rank-tol", "10"]) == 2
     assert capsys.readouterr().err == "error: bound undefined for a zero-rank matrix\n"
+
+
+def test_the_console_entry_point_exits_with_the_command_code(tmp_path, monkeypatch):
+    """``semikrylov``, which runs ``cli.main``, exits 0 on a generate and 2 on a solve without flags."""
+    generate = ["generate", "--spec", str(_spec_file(tmp_path)), "--out-dir", str(tmp_path / "g")]
+    for argv, code in [(generate, 0), (["solve"], 2)]:
+        monkeypatch.setattr(sys, "argv", ["semikrylov", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == code, argv
+
+
+def test_the_cli_module_runs_as_a_script(tmp_path):
+    """``python -m semikrylov.cli`` runs the module's ``__main__`` guard."""
+    argv = ["generate", "--spec", str(_spec_file(tmp_path)), "--out-dir", str(tmp_path / "g")]
+    done = subprocess.run([sys.executable, "-m", "semikrylov.cli", *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [str(tmp_path / "g" / name) for name in
+                                        ("a.mtx", "b.mtx", "x0.mtx", "xstar.mtx", "problem.json")]

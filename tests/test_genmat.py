@@ -75,7 +75,10 @@ class TestProblemSpec:
         ("spectrum", [1.0, -1.0], "spectrum must be nonnegative"),
         ("consistency_gap", -0.1, "consistency_gap must be nonnegative"),
         ("spectrum", [10**400, 0], "problem spec has a malformed field: int too large to convert to float"),
-    ], ids=["dims-not-a-pair", "dims-not-positive", "negative-spectrum", "negative-gap", "huge-int"])
+        ("seed", -1, "seed must fit an unsigned 64-bit integer"),
+        ("seed", 2**64, "seed must fit an unsigned 64-bit integer"),
+    ], ids=["dims-not-a-pair", "dims-not-positive", "negative-spectrum", "negative-gap", "huge-int",
+            "negative-seed", "seed-2**64"])
     def test_a_bad_field_value_is_refused_with_its_message(self, field, value, message):
         payload = {"kind": "spsd", "dims": [2, 2], "spectrum": [1.0, 0.0], "seed": 1, field: value}
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
