@@ -217,6 +217,8 @@ def _cmd_diagnose(args) -> int:
         confinement = null_direction_confinement(replace(dtrace, p2=trace.directions @ q2), args.tol)
         checks["null_confinement"] = confinement.passed
         diagnostics["max_null_direction_sine"] = confinement.max_angle
+        # the equivalence check's r2 block deviation bit for bit (every eigenbasis r2 row is b2),
+        # so this check fails only when equivalence does
         residuals = trace.residuals[: equivalence.iterations_compared + 1]
         residual_drift = _relative_distance(residuals @ q2, dtrace.b2,
                                             np.max(np.linalg.norm(residuals, axis=1)))

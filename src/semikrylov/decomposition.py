@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SpectralDecomposition, _relative_distance, _sized
+from .linalg import SpectralDecomposition, _check_tolerance, _relative_distance, _sized
 from .oracle import split
-from .solvers import BREAKDOWN, SolverConfig, SolveTrace, _cg_recurrence
+from .solvers import MAX_ITERS, SolverConfig, SolveTrace, _cg_recurrence
 
 COMPLETED = "completed"
 
@@ -64,27 +64,27 @@ def decomposed_cg_run(decomp: SpectralDecomposition, b, x0, iters: int,
     This is the plain recurrence applied to the diagonal operator
     diag(Lambda_r, 0); the full matrix is never applied. The null block of
     the operator is zero, so r2 - alpha * 0 leaves the null residual at b2
-    bit for bit. The stop test is the plain solver's at tolerance 0, and its
-    breakdown test uses ||lambdas|| (||A||_F up to rounding). A run that ends
-    before ``iters`` iterations, on breakdown or on a residual that computes to
-    zero, has stop_reason "breakdown" and records the iterations it completed.
+    bit for bit. It enters the recurrence as ``cg_solve`` does, at rel_tol 0, so
+    only a residual that computes to zero stops it "converged"; its breakdown
+    test uses ||lambdas|| (||A||_F up to rounding). The run's stop_reason is the
+    recurrence's, with "max_iters" renamed "completed".
     """
     b = _sized(b, decomp.dim, "right-hand side")
     x0 = _sized(x0, decomp.dim, "initial guess")
     if iters < 0:
         raise ValueError("iters must be nonnegative")
+    _check_tolerance("breakdown_tol", breakdown_tol)
 
     rank = decomp.rank
     lam_full = np.concatenate([decomp.lambdas_r, np.zeros(decomp.dim - rank)])
     parts_b, parts_x0 = split(decomp, b), split(decomp, x0)
     b1, b2 = parts_b.range_part, parts_b.null_part
     x = np.concatenate([parts_x0.range_part, parts_x0.null_part])
-    r = np.concatenate([b1 - decomp.lambdas_r * parts_x0.range_part, b2])
 
     floor = breakdown_tol * float(np.linalg.norm(decomp.lambdas))
-    run = _cg_recurrence(lambda p: lam_full * p, x, r, iters, 0.0, floor, True)
+    run = _cg_recurrence(lambda p: lam_full * p, np.concatenate([b1, b2]), x, iters, 0.0, floor, True)
     xs, rs, ps = run.iterates, run.residuals, run.directions
-    stop_reason = COMPLETED if run.iterations == iters else BREAKDOWN
+    stop_reason = COMPLETED if run.stop_reason == MAX_ITERS else run.stop_reason
     return DecomposedTrace(xs[:, :rank], rs[:, :rank], ps[:, :rank], xs[:, rank:], rs[:, rank:],
                            ps[:, rank:], run.alphas, run.betas, b1, b2, stop_reason)
 

@@ -154,14 +154,16 @@ def _finish(bufs, x, alphas, j: int, record: bool):
     return xs[-1].copy(), *(h[:j + 1] if record else h[:0].copy() for h in (xs, *bufs))
 
 
-def _cg_recurrence(apply, x, r, cap: int, stop: float, floor: float, record: bool):
-    """CG on the symmetric positive semidefinite operator ``apply`` from x, with r = b - A x.
+def _cg_recurrence(apply, b, x, cap: int, rel_tol: float, floor: float, record: bool):
+    """CG on the symmetric positive semidefinite operator ``apply`` for b, from x.
 
-    Stops with "converged" once ||r_i|| <= stop, stop >= 0, "max_iters" after ``cap``
-    iterations, or "breakdown" when (A p_i, p_i) <= floor * ||p_i||^2, floor >= 0.
-    ``apply`` must return a new array, which the loop scales in place. Returns a
-    "cg" SolveTrace, histories as the module notes say.
+    Stops with "converged" once ||r_i|| <= rel_tol ||b|| (||r_0|| for a zero b),
+    "max_iters" after ``cap`` iterations, or "breakdown" when (A p_i, p_i) <= floor
+    * ||p_i||^2, floor >= 0. ``apply`` must return a new array, which the loop scales
+    in place. Returns a "cg" SolveTrace, histories as the module notes say.
     """
+    r = b - apply(x)
+    stop = rel_tol * (float(np.linalg.norm(b)) or float(np.linalg.norm(r)))
     P, R = np.array([r]), np.array([r])
     p, j, rows, scaled = r, 0, 1, np.empty_like(r)
     rr = float(r.dot(r))
@@ -203,14 +205,6 @@ def _cg_recurrence(apply, x, r, cap: int, stop: float, floor: float, record: boo
     return SolveTrace("cg", stop_reason, x, alphas, betas, res_norms, xs, rs, ps)
 
 
-def _cg_from(apply, b, start, size: float, cfg: SolverConfig) -> SolveTrace:
-    """_cg_recurrence from start with the module notes' tests; ``size`` is the operator's ||.||_F."""
-    r = b - apply(start)
-    stop = cfg.rel_tol * (float(np.linalg.norm(b)) or float(np.linalg.norm(r)))
-    cap = cfg.iteration_cap(b.shape[0])
-    return _cg_recurrence(apply, start, r, cap, stop, cfg.breakdown_tol * size, cfg.record_trace)
-
-
 def cg_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
     """Plain conjugate gradients on a symmetric system A x = b.
 
@@ -232,7 +226,8 @@ def cg_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
     cfg = cfg or SolverConfig()
     a = _symmetric(a)
     b, x0 = _sized(b, len(a), "right-hand side"), _sized(x0, len(a), "initial guess")
-    return _cg_from(a.dot, b, x0, float(np.linalg.norm(a)), cfg)
+    floor = cfg.breakdown_tol * float(np.linalg.norm(a))
+    return _cg_recurrence(a.dot, b, x0, cfg.iteration_cap(len(b)), cfg.rel_tol, floor, cfg.record_trace)
 
 
 def cgls_solve(a, b, x0, cfg: SolverConfig | None = None) -> SolveTrace:
@@ -311,6 +306,8 @@ def cgne_solve(a, b, y0, cfg: SolverConfig | None = None) -> SolveTrace:
     b = _sized(b, m, "right-hand side")
     y0 = _sized(y0, m, "initial guess")
     at = a.T
-    run = _cg_from(lambda p: a.dot(at.dot(p)), b, y0, float(np.linalg.norm(a)) ** 2, cfg)
+    floor = cfg.breakdown_tol * float(np.linalg.norm(a)) ** 2
+    run = _cg_recurrence(lambda p: a.dot(at.dot(p)), b, y0, cfg.iteration_cap(m), cfg.rel_tol, floor,
+                         cfg.record_trace)
     y, ys = run.x, run.iterates
     return replace(run, method="cgne", x=at @ y, iterates=ys @ a, y=y, y_iterates=ys)

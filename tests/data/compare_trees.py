@@ -17,7 +17,8 @@ process that imports that tree's ``src``; the two processes run side by side.
   those texts and of malformed bodies with every line break;
 - ``scale``: this checkout's ``scale_verdicts.py``, the rank, consistency and
   symmetry verdicts, the solver outcomes and, on the spsd problems,
-  ``diagnose``'s outcome on the golden problems scaled by 1e-12 to 1e12,
+  ``diagnose``'s outcome (its checks, drifts and both runs' stop reasons)
+  on the golden problems scaled by 1e-12 to 1e12,
   and ``diagnose``'s outcome at full length on one scaled 40 x 40 problem
   whose last steps are at rounding level;
 - ``help <command>``: ``semikrylov <command> -h`` for each of the four

@@ -15,10 +15,12 @@ and 1e12, the case ``<family>/<c>`` records, on ``(c A, c b)``:
   the stop reason, the iteration count and ``norm(x - x†) / norm(x†)`` of
   the library solve from a zero start, with ``x†`` the factor-exact
   minimum-norm solution of the unscaled problem;
-- ``diagnose`` (spsd families only): the exit code, the ``checks``, and
-  ``max_deviation``, ``iterations_compared`` and the null drift
+- ``diagnose`` (spsd families only): the exit code, the ``checks``,
+  ``max_deviation``, ``iterations_compared``, the null drift
   (``max_null_drift`` for a consistent family, ``max_null_residual_drift``
-  for ``gap``) of ``semikrylov diagnose --iters 6`` from a zero start.
+  for ``gap``), the plain run's ``stop_reason`` and the eigenbasis run's
+  ``decomposed_stop_reason`` of ``semikrylov diagnose --iters 6`` from a
+  zero start.
 
 The spec of ``DIAGNOSED`` gets a case ``geom40/<c>`` of its own, with only
 the ``diagnose`` entry, run on ``(c A, c b)`` from the spec's start for
@@ -61,7 +63,8 @@ def _passes_symmetry(a) -> bool:
 
 
 def _diagnose(a, b, x0, iters: int) -> list:
-    """[exit code, checks, max_deviation, iterations_compared, null drift] of diagnose on (a, b)."""
+    """[exit code, checks, max_deviation, iterations_compared, null drift, stop reason, decomposed
+    stop reason] of diagnose on (a, b)."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         save_matrix_market(tmp / "a.mtx", a)
@@ -73,7 +76,8 @@ def _diagnose(a, b, x0, iters: int) -> list:
         report = json.loads((tmp / "report.json").read_text())
     found = report["diagnostics"]
     drift = found.get("max_null_drift", found.get("max_null_residual_drift"))
-    return [code, report["checks"], found["max_deviation"], found["iterations_compared"], drift]
+    return [code, report["checks"], found["max_deviation"], found["iterations_compared"], drift,
+            report["stop_reason"], found["decomposed_stop_reason"]]
 
 
 def _case(problem, spsd: bool, c: float) -> dict:

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semikrylov import cli
+from semikrylov import cli, decomposition
 from semikrylov.cli import SEED_ENV, run_command
 from semikrylov.genmat import ProblemSpec, make_problem
-from semikrylov.linalg import symmetric_eig
+from semikrylov.linalg import _relative_distance, symmetric_eig
 from semikrylov.mmio import load_matrix_market, save_matrix_market, write_matrix_market
 from semikrylov.report import RunReport, write_text_atomic
 from semikrylov.solvers import SolverConfig, cg_solve
@@ -257,6 +257,39 @@ class TestDiagnoseCommand:
         assert 1e-8 < report.diagnostics["max_null_direction_sine"] < 1e-6
         assert report.diagnostics["max_deviation"] < 1e-9
 
+    @pytest.mark.parametrize("x0_mode", ["zero", "random_range", "random_full"])
+    def test_null_residual_drift_is_the_equivalence_r2_deviation(self, tmp_path, monkeypatch, x0_mode):
+        """Every eigenbasis r2 row is b2, and both measures divide by the largest plain residual of
+        the states compared, so null_residual_constant can fail only when equivalence fails."""
+        problem = make_problem(ProblemSpec("spsd", (14, 14), tuple(10 * np.geomspace(1, 1e-3, 12)) + (0.0,) * 2,
+                                           seed=74, consistency_gap=0.5, x0_mode=x0_mode))
+        for name, value in [("a", problem.a), ("b", problem.b.reshape(-1, 1)), ("x0", problem.x0.reshape(-1, 1))]:
+            save_matrix_market(tmp_path / f"{name}.mtx", value)
+        deviations = []
+
+        def recorded(*args):
+            deviations.append(_relative_distance(*args))
+            return deviations[-1]
+
+        # equivalence_check measures the blocks x1, x2, r1, r2, p1, p2 in that order
+        monkeypatch.setattr(decomposition, "_relative_distance", recorded)
+        out = tmp_path / "diag.json"
+        assert run_command(["diagnose", "--matrix", str(tmp_path / "a.mtx"), "--rhs", str(tmp_path / "b.mtx"),
+                            "--x0", f"file:{tmp_path / 'x0.mtx'}", "--iters", "30", "--out", str(out)]) == 0
+        diagnostics = RunReport.from_json(out.read_text()).diagnostics
+        assert len(deviations) == 6 and diagnostics["max_null_residual_drift"] == deviations[3]
+
+    def test_an_eigenbasis_residual_of_zero_reads_converged(self, tmp_path):
+        # the range residual of diag(2, 1) computes to exactly 0 after two steps, and b2 = 0
+        save_matrix_market(tmp_path / "a.mtx", np.diag([2.0, 1.0, 0.0]))
+        save_matrix_market(tmp_path / "b.mtx", np.array([[1.0], [1.0], [0.0]]))
+        out = tmp_path / "diag.json"
+        assert run_command(["diagnose", "--matrix", str(tmp_path / "a.mtx"), "--rhs", str(tmp_path / "b.mtx"),
+                            "--iters", "3", "--out", str(out)]) == 0
+        report = RunReport.from_json(out.read_text())
+        assert report.stop_reason == "converged"
+        assert report.diagnostics["decomposed_stop_reason"] == "converged"
+
     def test_rank_cut_that_keeps_nothing_exits_2(self, spsd_problem, capsys):
         tmp_path, _, _ = spsd_problem
         code = run_command([
@@ -323,6 +356,24 @@ class TestVerifyBoundsCommand:
         d1.pop("timestamp")
         d2.pop("timestamp")
         assert d1 == d2
+
+    def test_cgne_starts_from_zero_whatever_the_x0_mode(self, tmp_path):
+        """The spec's x0 has one entry per column, cgne's y0 one per row, so cgne starts from y0 = 0;
+        cgls, on the same specs, starts from the spec's x0."""
+        reports = {}
+        for method in ("cgne", "cgls"):
+            for mode in ("zero", "random_range", "random_full"):
+                spec_path = _spec_file(tmp_path, kind="rectangular", dims=[20, 30], seed=5, x0_mode=mode,
+                                       spectrum=list(np.geomspace(1, 0.1, 16)) + [0.0] * 4)
+                out = tmp_path / f"{method}-{mode}.json"
+                assert run_command(["verify-bounds", "--method", method, "--spec", str(spec_path),
+                                    "--out", str(out)]) in (0, 1)
+                reports[method, mode] = json.loads(out.read_text())
+                reports[method, mode].pop("timestamp")
+        b = make_problem(ProblemSpec.from_dict(json.loads(spec_path.read_text()))).b
+        assert reports["cgne", "zero"]["res_norms"][0] == float(np.linalg.norm(b))
+        assert reports["cgne", "zero"] == reports["cgne", "random_range"] == reports["cgne", "random_full"]
+        assert reports["cgls", "zero"]["res_norms"][0] != reports["cgls", "random_full"]["res_norms"][0]
 
     def test_seed_flag_overrides_spec(self, tmp_path):
         spec_path = _spec_file(tmp_path)
@@ -720,7 +771,7 @@ def test_diagnose_of_a_one_step_run_names_the_orthogonality_test(tmp_path, capsy
 
 def test_diagnose_where_the_eigenbasis_residual_underflows_exits_2(tmp_path, capsys):
     """On 1000 A, A = I from a 4 x 4 spec, the eigenbasis run, whose stop tolerance is 0, drives r.r
-    to 0; it stops there, labelled "breakdown", rather than divide 0 by 0, so diagnose names the cause."""
+    to 0; it stops there, "converged", rather than divide 0 by 0, so diagnose names the cause."""
     problem = make_problem(ProblemSpec("spsd", (4, 4), (1.0,) * 4, seed=0))
     save_matrix_market(tmp_path / "a.mtx", 1000.0 * problem.a)
     save_matrix_market(tmp_path / "b.mtx", (1000.0 * problem.b).reshape(-1, 1))

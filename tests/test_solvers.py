@@ -476,7 +476,7 @@ def _decomposed_case(problem, iters):
     x, r = np.concatenate([x1, x2]), np.concatenate([b1 - dec.lambdas_r * x1, b2])
     want = textbook_cg(lambda p: lam_full * p, x, r, iters, 0.0, 1e-14 * np.linalg.norm(dec.lambdas))
     dtrace = decomposed_cg_run(dec, problem.b, problem.x0, iters)
-    assert dtrace.stop_reason == ("completed" if len(want["alphas"]) == iters else "breakdown")
+    assert dtrace.stop_reason == ("completed" if want["stop_reason"] == "max_iters" else want["stop_reason"])
     _bit_identical(dtrace.alphas, want["alphas"])
     _bit_identical(dtrace.betas, want["betas"])
     for block, key in [((dtrace.x1, dtrace.x2), "xs"), ((dtrace.r1, dtrace.r2), "rs"),
@@ -528,11 +528,10 @@ class TestBitIdenticalToTextbookLoops:
         problem = _bit_problem("spsd", consistent)
         a, b, x0 = problem.a, problem.b, problem.x0
         calls = []
-        run = _cg_recurrence(lambda p: calls.append(p) or a @ p, x0, b - a @ x0, cap,
-                             1e-12 * np.linalg.norm(b), 1e-14, False)
+        run = _cg_recurrence(lambda p: calls.append(p) or a @ p, b, x0, cap, 1e-12, 1e-14, False)
         assert run.stop_reason == reason
-        # a breakdown is found after one more apply, for the attempt that did not complete
-        assert len(calls) == run.iterations + (reason == "breakdown")
+        # one apply for r_0, and a breakdown is found after one more, for the attempt that did not complete
+        assert len(calls) == 1 + run.iterations + (reason == "breakdown")
 
 
 @st.composite
@@ -560,7 +559,7 @@ def test_trimmed_loops_equal_the_reference_loops():
     stops = collections.Counter()
 
     @given(loop_runs())
-    # A = I: the eigenbasis run's r.r underflows to 0 and it stops "breakdown" at 11, not 0 / 0
+    # A = I: the eigenbasis run's r.r underflows to 0 and it stops "converged" at 11, not 0 / 0
     @example(("eigenbasis", make_problem(ProblemSpec("spsd", (4, 4), (1.0,) * 4, seed=0)), 1000.0,
               SolverConfig(max_iters=40)))
     @settings(max_examples=150, deadline=None)
@@ -658,7 +657,7 @@ class TestHistoryMemory:
             # the recurrence alone: cg_solve's symmetry check of A would set the peak
             tracemalloc.start()
             try:
-                trace = _cg_recurrence(a.dot, x0, b - a @ x0, iters, 0.0, 1e-14, False)
+                trace = _cg_recurrence(a.dot, b, x0, iters, 0.0, 1e-14, False)
                 peaks[iters] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
