@@ -69,10 +69,10 @@ class TestDecomposedCgRun:
             np.testing.assert_array_equal(block, want[key])
 
     @pytest.mark.parametrize("breakdown_tol", [1e-14, 1e-300])
-    def test_a_residual_that_underflows_to_zero_converges(self, breakdown_tol):
+    def test_a_residual_that_underflows_to_zero_breaks_down(self, breakdown_tol):
         """On 1000 A, A = I from a 4 x 4 spec, r.r underflows to 0, and a step from there would
-        divide 0 by 0; the run stops "converged" on its stop test at tolerance 0 instead. At 1e-300
-        the floor times the bound on ||p||^2 underflows too."""
+        break down, dividing 0 by 0; the run stops "converged" on its stop test at tolerance 0
+        before that step. At 1e-300 the floor times the bound on ||p||^2 underflows too."""
         problem = make_problem(ProblemSpec("spsd", (4, 4), (1.0,) * 4, seed=0))
         dtrace = decomposed_cg_run(symmetric_eig(1000.0 * problem.a), 1000.0 * problem.b, np.zeros(4), 40,
                                    breakdown_tol)
