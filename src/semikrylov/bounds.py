@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SingularDecomposition, SpectralDecomposition
-from .oracle import ConsistencyReport, _consistency, consistency_check
+from .oracle import ConsistencyReport, consistency_check
 from .solvers import SolveTrace
 
 SLACK_REL = 1e-6
@@ -135,7 +135,7 @@ def cgne_bound_verify(trace: SolveTrace, sdec: SingularDecomposition) -> BoundRe
     _check_trace(trace, "cgne", [trace.residuals, trace.y_iterates], "vector history", sdec.rank)
     y0 = trace.y_iterates[0]
     b = trace.residuals[0] + sdec.apply(sdec.apply_transpose(y0))
-    _check_consistent(_consistency(sdec.u2, b), "the bound")
+    _check_consistent(consistency_check(sdec, b), "the bound")
 
     sig = sdec.sigmas_r
     measured = np.sum((trace.residuals @ sdec.u1 / sig) ** 2, axis=1)

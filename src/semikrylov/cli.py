@@ -116,21 +116,16 @@ def _finish(args, command, method, dec, trace, checks, **fields) -> int:
     CSV column is read from the report array of the same name, so the CSV and
     the JSON cannot disagree.
     """
-    if method == "cg":
-        dims, values, names = (dec.dim, dec.dim), dec.lambdas_r, ("lambda_1", "lambda_r", "kappa")
-        basis1, basis2 = dec.q1, dec.q2
-    else:
-        dims, values, names = dec.shape, dec.sigmas_r, ("sigma_1", "sigma_r", "sigma_ratio")
-        basis1, basis2 = dec.u1, dec.u2
+    names = ("lambda_1", "lambda_r", "kappa") if method == "cg" else ("sigma_1", "sigma_r", "sigma_ratio")
     summary = {}
     if dec.rank > 0:
-        first, last = float(values[0]), float(values[-1])
+        first, last = float(dec.sigmas_r[0]), float(dec.sigmas_r[-1])
         summary = dict(zip(names, (first, last, first / last)))
     passed = all(checks.values())
     report = RunReport(
         command=command,
         method=method,
-        dims=dims,
+        dims=dec.shape,
         rank=dec.rank,
         spectral_summary=summary,
         stop_reason=trace.stop_reason,
@@ -139,8 +134,8 @@ def _finish(args, command, method, dec, trace, checks, **fields) -> int:
         alphas=list(trace.alphas),
         betas=list(trace.betas),
         normal_res_norms=list(trace.normal_res_norms) if trace.normal_res_norms else None,
-        range_res_norms=_row_norms(trace.residuals, basis1),
-        null_res_norms=_row_norms(trace.residuals, basis2),
+        range_res_norms=_row_norms(trace.residuals, dec.u1),
+        null_res_norms=_row_norms(trace.residuals, dec.u2),
         checks=checks,
         passed=passed,
         timestamp=datetime.now(timezone.utc).isoformat(),
@@ -163,18 +158,17 @@ def _cmd_solve(args) -> int:
     start = _x0_from_flag(args.x0, a.shape[0] if args.method == "cgne" else a.shape[1])
     trace = _solve(args, a, b, start)
 
+    xdag = (pseudoinverse_apply if args.method == "cg" else pinv_apply_rect)(dec, b)
     if args.method == "cg":
-        xdag, basis2 = pseudoinverse_apply(dec, b), dec.q2
-        expected = xdag + dec.q2 @ (dec.q2.T @ start)
+        expected = xdag + dec.v2 @ (dec.v2.T @ start)
     else:
-        xdag, basis2 = pinv_apply_rect(dec, b), dec.u2
         expected = xdag + (start - dec.v1 @ (dec.v1.T @ start)) if args.method == "cgls" else xdag
 
     size = np.linalg.norm(trace.x) or 1.0  # what a zero reference is measured by (1 if x is zero too)
     distances = {
         "min_norm": _relative_distance(trace.x, xdag, np.linalg.norm(xdag) or size),
         "expected": _relative_distance(trace.x, expected, np.linalg.norm(expected) or size),
-        "rhs_null_norm": float(np.linalg.norm(basis2.T @ b)),
+        "rhs_null_norm": float(np.linalg.norm(dec.u2.T @ b)),
     }
     checks = {
         "converged": trace.stop_reason == "converged",

@@ -88,55 +88,12 @@ def matvec(a, x) -> np.ndarray:
     return a @ _sized(x, a.shape[1], "vector")
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Orthogonal eigendecomposition A = Q diag(lambdas) Q^T with a rank cut.
+class _Factorization:
+    """A = U diag(sigmas) V^T with a rank cut: the names both factorizations share.
 
-    Columns of ``q`` are eigenvectors sorted by eigenvalue, largest first.
-    Exactly the first ``rank`` eigenvalues exceed rank_tol * lambdas[0], and none
-    do when lambdas[0] is not positive; the corresponding leading columns span the
-    numerical range of A and the trailing columns span its null space. Instances
-    are immutable and safe to share across threads.
+    The leading ``rank`` columns of U and V span the numerical range of A and
+    of A^T; the trailing columns span the null spaces of A^T and of A.
     """
-
-    q: np.ndarray
-    lambdas: np.ndarray
-    rank: int
-    rank_tol: float
-
-    @property
-    def dim(self) -> int:
-        return self.q.shape[0]
-
-    @property
-    def q1(self) -> np.ndarray:
-        """Orthonormal basis of the numerical range (dim x rank)."""
-        return self.q[:, : self.rank]
-
-    @property
-    def q2(self) -> np.ndarray:
-        """Orthonormal basis of the numerical null space (dim x (dim - rank))."""
-        return self.q[:, self.rank :]
-
-    @property
-    def lambdas_r(self) -> np.ndarray:
-        """The leading ``rank`` (positive) eigenvalues."""
-        return self.lambdas[: self.rank]
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Apply the reconstructed operator Q diag(lambdas) Q^T to x."""
-        return self.q @ (self.lambdas * (self.q.T @ x))
-
-
-@dataclass(frozen=True)
-class SingularDecomposition:
-    """Full SVD A = U Sigma V^T with a rank cut on the singular values."""
-
-    u: np.ndarray
-    sigmas: np.ndarray
-    v: np.ndarray
-    rank: int
-    rank_tol: float
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -144,10 +101,12 @@ class SingularDecomposition:
 
     @property
     def u1(self) -> np.ndarray:
+        """Orthonormal basis of the numerical range (m x rank)."""
         return self.u[:, : self.rank]
 
     @property
     def u2(self) -> np.ndarray:
+        """Orthonormal basis of the complement of the range (m x (m - rank))."""
         return self.u[:, self.rank :]
 
     @property
@@ -156,10 +115,12 @@ class SingularDecomposition:
 
     @property
     def v2(self) -> np.ndarray:
+        """Orthonormal basis of the numerical null space (n x (n - rank))."""
         return self.v[:, self.rank :]
 
     @property
     def sigmas_r(self) -> np.ndarray:
+        """The leading ``rank`` (positive) values."""
         return self.sigmas[: self.rank]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -171,6 +132,39 @@ class SingularDecomposition:
         """Apply the reconstructed A^T to a length-m vector."""
         k = self.sigmas.shape[0]
         return self.v[:, :k] @ (self.sigmas * (self.u[:, :k].T @ y))
+
+
+@dataclass(frozen=True)
+class SpectralDecomposition(_Factorization):
+    """Orthogonal eigendecomposition A = Q diag(lambdas) Q^T with a rank cut.
+
+    Columns of ``q`` are eigenvectors sorted by eigenvalue, largest first.
+    Exactly the first ``rank`` eigenvalues exceed rank_tol * lambdas[0], and none
+    do when lambdas[0] is not positive. It reads as an SVD with U = V = Q and
+    sigmas = lambdas, so q1/q2/lambdas_r name u1/u2/sigmas_r. Instances are
+    immutable and safe to share across threads.
+    """
+
+    q: np.ndarray
+    lambdas: np.ndarray
+    rank: int
+    rank_tol: float
+
+    u = v = property(lambda self: self.q)
+    sigmas = property(lambda self: self.lambdas)
+    q1, q2, lambdas_r = _Factorization.u1, _Factorization.u2, _Factorization.sigmas_r
+    dim = property(lambda self: self.q.shape[0])
+
+
+@dataclass(frozen=True)
+class SingularDecomposition(_Factorization):
+    """Full SVD A = U Sigma V^T with a rank cut on the singular values."""
+
+    u: np.ndarray
+    sigmas: np.ndarray
+    v: np.ndarray
+    rank: int
+    rank_tol: float
 
 
 def _numerical_rank(values: np.ndarray, rank_tol: float) -> int:

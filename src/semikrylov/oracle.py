@@ -2,7 +2,9 @@
 
 The pseudoinverse, the range/null split of a vector, and the consistency
 test all come straight from an eigendecomposition or SVD, so they stay
-independent of the iterative solvers they are used to check.
+independent of the iterative solvers they are used to check. An
+eigendecomposition reads as an SVD with U = V = Q, so the pseudoinverse and
+the consistency test take either one.
 """
 
 from __future__ import annotations
@@ -35,26 +37,21 @@ def unsplit(decomp: SpectralDecomposition, parts: SplitVector) -> np.ndarray:
     return decomp.q1 @ parts.range_part + decomp.q2 @ parts.null_part
 
 
-def pseudoinverse_apply(decomp: SpectralDecomposition, b) -> np.ndarray:
-    """Minimum-norm solution of A x = b for symmetric A.
-
-    Inverts eigenvalue-wise on the numerical range only; the null component
-    of b is annihilated, so the result always lies in range(A).
-    """
-    b1 = decomp.q1.T @ _sized(b, decomp.dim, "right-hand side")
-    return decomp.q1 @ (b1 / decomp.lambdas_r)
-
-
 def pseudoinverse_matrix(decomp: SpectralDecomposition) -> np.ndarray:
     """Assemble the pseudoinverse explicitly (small problems only)."""
     q1 = decomp.q1
     return (q1 / decomp.lambdas_r) @ q1.T
 
 
-def pinv_apply_rect(sdec: SingularDecomposition, b) -> np.ndarray:
-    """Minimum-norm least squares solution V1 Sigma_r^{-1} U1^T b."""
+def pinv_apply_rect(sdec: SpectralDecomposition | SingularDecomposition, b) -> np.ndarray:
+    """Minimum-norm least squares solution V1 Sigma_r^{-1} U1^T b, in range(A^T)."""
     t = sdec.u1.T @ _sized(b, sdec.shape[0], "right-hand side")
     return sdec.v1 @ (t / sdec.sigmas_r)
+
+
+def pseudoinverse_apply(decomp: SpectralDecomposition | SingularDecomposition, b) -> np.ndarray:
+    """Minimum-norm solution of A x = b for symmetric A: ``pinv_apply_rect`` with U = V = Q."""
+    return pinv_apply_rect(decomp, b)
 
 
 @dataclass(frozen=True)
@@ -64,19 +61,19 @@ class ConsistencyReport:
 
 
 def consistency_check(
-    decomp: SpectralDecomposition, b, tol: float = DEFAULT_CONSISTENCY_TOL
+    decomp: SpectralDecomposition | SingularDecomposition, b, tol: float = DEFAULT_CONSISTENCY_TOL
 ) -> ConsistencyReport:
-    """Measure the null-space content of b; consistent when it is negligible.
+    """Measure the content of b outside the range of A; consistent when it is negligible.
 
-    null_norm is ||Q2^T b||; the system counts as consistent when it does not
-    exceed tol * ||b||.
+    null_norm is ||U2^T b|| (||Q2^T b|| for an eigendecomposition); the system
+    counts as consistent when it does not exceed tol * ||b||.
     """
-    return _consistency(decomp.q2, _sized(b, decomp.dim, "right-hand side"), tol)
+    return _consistency(decomp.u2, _sized(b, decomp.shape[0], "right-hand side"), tol)
 
 
 def _consistency(
     null_basis: np.ndarray, b: np.ndarray, tol: float = DEFAULT_CONSISTENCY_TOL
 ) -> ConsistencyReport:
-    """ConsistencyReport of b against the null basis (Q2, or U2 of an SVD) of the range."""
+    """ConsistencyReport of b against a basis (U2) of the complement of the range."""
     null_norm = float(np.linalg.norm(null_basis.T @ b))
     return ConsistencyReport(null_norm <= tol * float(np.linalg.norm(b)), null_norm)
