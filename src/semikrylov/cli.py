@@ -30,8 +30,8 @@ import numpy as np
 from .bounds import cg_bound_verify, cgls_bound_verify, cgne_bound_verify
 from .decomposition import decomposed_cg_run, equivalence_check, null_direction_confinement
 from .genmat import ProblemSpec, make_problem
-from .linalg import (DEFAULT_RANK_TOL, ConvergenceError, _check_tolerance, _relative_distance, _sized,
-                     svd, symmetric_eig)
+from .linalg import (DEFAULT_RANK_TOL, ConvergenceError, _check_count, _check_tolerance, _relative_distance,
+                     _sized, svd, symmetric_eig)
 from .mmio import load_matrix_market, write_matrix_market
 from .oracle import consistency_check, pinv_apply_rect, pseudoinverse_apply
 from .report import RunReport, trace_csv_text, write_text_atomic
@@ -112,9 +112,10 @@ def _finish(args, command, method, dec, trace, checks, **fields) -> int:
     """Build the report, write it (and the CSV trace) and return the exit code.
 
     The dims, rank, spectral summary and residual bases come from ``dec``, the
-    oracle of ``method``; ``fields`` are the command's own report fields. Each
-    CSV column is read from the report array of the same name, so the CSV and
-    the JSON cannot disagree.
+    oracle of ``method``, read as an SVD (U = V = Q for cg's eigendecomposition);
+    only the summary's key names depend on ``method``. ``fields`` are the
+    command's own report fields. Each CSV column is read from the report array
+    of the same name, so the CSV and the JSON cannot disagree.
     """
     names = ("lambda_1", "lambda_r", "kappa") if method == "cg" else ("sigma_1", "sigma_r", "sigma_ratio")
     summary = {}
@@ -179,8 +180,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     _check_tolerance("--tol", args.tol)
-    if args.iters < 1:
-        raise ValueError(f"--iters must be at least 1, got {args.iters}")
+    _check_count("--iters", args.iters, 1)
     a = _load_matrix(args.matrix)
     b = _load_vector(args.rhs)
     decomp = _decompose("cg", a, args.rank_tol)

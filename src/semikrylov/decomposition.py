@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SpectralDecomposition, _check_tolerance, _relative_distance, _sized
+from .linalg import SpectralDecomposition, _check_count, _check_tolerance, _relative_distance, _sized
 from .oracle import split
 from .solvers import MAX_ITERS, SolverConfig, SolveTrace, _cg_recurrence
 
@@ -71,8 +71,7 @@ def decomposed_cg_run(decomp: SpectralDecomposition, b, x0, iters: int,
     """
     b = _sized(b, decomp.dim, "right-hand side")
     x0 = _sized(x0, decomp.dim, "initial guess")
-    if iters < 0:
-        raise ValueError("iters must be nonnegative")
+    _check_count("iters", iters, 0)
     _check_tolerance("breakdown_tol", breakdown_tol)
 
     rank = decomp.rank

@@ -9,6 +9,7 @@ against, so they are deliberately independent of the iterative methods.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +48,19 @@ def as_vector(v) -> np.ndarray:
 
 
 def _check_tolerance(name: str, value: float) -> None:
-    """Raise ValueError unless 0 < value < inf; NaN fails both comparisons."""
+    """Raise ValueError unless value is a real number, not a bool, with 0 < value < inf (not NaN)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     if not 0.0 < value < np.inf:
         raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def _check_count(name: str, value: int, least: int) -> None:
+    """Raise ValueError unless value is an int or numpy integer, not a bool, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def _relative_distance(x: np.ndarray, reference: np.ndarray, size: float) -> float:
@@ -153,7 +164,7 @@ class SpectralDecomposition(_Factorization):
     u = v = property(lambda self: self.q)
     sigmas = property(lambda self: self.lambdas)
     q1, q2, lambdas_r = _Factorization.u1, _Factorization.u2, _Factorization.sigmas_r
-    dim = property(lambda self: self.q.shape[0])
+    dim = property(lambda self: self.shape[0])
 
 
 @dataclass(frozen=True)

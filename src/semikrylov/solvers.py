@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import _check_tolerance, _sized, _symmetric, as_matrix
+from .linalg import _check_count, _check_tolerance, _sized, _symmetric, as_matrix
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
@@ -59,8 +59,8 @@ BREAKDOWN = "breakdown"
 class SolverConfig:
     """Loop control shared by the three solvers.
 
-    max_iters defaults to 10x the number of unknowns when left as None;
-    rel_tol and breakdown_tol set the tests of the module notes; record_trace
+    max_iters, an integer, defaults to 10x the number of unknowns when left as
+    None; rel_tol and breakdown_tol set the tests of the module notes; record_trace
     turns the per-iteration vector history on or off (scalars are always kept).
     """
 
@@ -70,8 +70,8 @@ class SolverConfig:
     record_trace: bool = True
 
     def __post_init__(self):
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if self.max_iters is not None:
+            _check_count("max_iters", self.max_iters, 1)
         _check_tolerance("rel_tol", self.rel_tol)
         _check_tolerance("breakdown_tol", self.breakdown_tol)
 

@@ -21,14 +21,17 @@ process that imports that tree's ``src``; the two processes run side by side.
   on the golden problems scaled by 1e-12 to 1e12,
   and ``diagnose``'s outcome at full length on one scaled 40 x 40 problem
   whose last steps are at rounding level;
+- ``api``: for every name in ``semikrylov.__all__``, the signature of a
+  function, the dataclass fields and public member names of a class, or the
+  value of a constant;
 - ``help <command>``: ``semikrylov <command> -h`` for each of the four
   commands, at 80 columns.
 
 One line per artifact reads ``<artifact>: equal`` or ``<artifact>: differs``.
 A golden, mtx or read difference names the cases or files that differ, a
-scale difference names each case with the fields that differ in it, a
-replay or unrecorded difference names each operation kind (solver, for
-unrecorded) with its count of differing records and, per tree, its stop
+scale or api difference names each case or name with the fields that differ
+in it, a replay or unrecorded difference names each operation kind (solver,
+for unrecorded) with its count of differing records and, per tree, its stop
 reasons and its iteration total, then names any record (paired by seed, cycle
 and kind) found in one tree only, and a help difference is shown as a diff. The
 exit code is 0 when everything is equal, 1 when anything differs, and 2 when a
@@ -57,6 +60,20 @@ for command in sys.argv[1:]:
         run_command([command, "-h"])
     texts[command] = text.getvalue()
 print(json.dumps(texts))
+"""
+
+# prints {name: {"signature"} of a function, {"fields", "members"} of a class, {"value"} of a constant}
+# for every name in semikrylov.__all__, as JSON
+API = """import dataclasses, inspect, json, semikrylov
+api = {}
+for name in semikrylov.__all__:
+    obj = getattr(semikrylov, name)
+    if inspect.isclass(obj):
+        fields = [f.name for f in dataclasses.fields(obj)] if dataclasses.is_dataclass(obj) else []
+        api[name] = {"fields": fields, "members": sorted(m for m in dir(obj) if not m.startswith("_"))}
+    else:
+        api[name] = {"signature": str(inspect.signature(obj))} if callable(obj) else {"value": repr(obj)}
+print(json.dumps(api))
 """
 
 
@@ -133,10 +150,11 @@ def compare(parent: Path, change: Path, seeds: list[int], cycles: int) -> bool:
         _run_both("mtx", trees, outs("mtx"), [str(HERE / "write_mtx_files.py")])
         _run_both("read", trees, outs("read"), [str(HERE / "read_mtx_files.py")])
         _run_both("scale", trees, outs("scale"), [str(HERE / "scale_verdicts.py")])
+        _run_both("api", trees, outs("api"), ["-c", API])
         _run_both("help", trees, outs("help"), ["-c", HELP, *COMMANDS])
 
         replays = dict(zip(("replay", "unrecorded"), zip(*map(_rows, outs("replay")))))
-        for name in ("golden", "replay", "unrecorded", "mtx", "read", "scale"):
+        for name in ("golden", "replay", "unrecorded", "mtx", "read", "scale", "api"):
             same = replays[name][0] == replays[name][1] if name in replays else filecmp.cmp(*outs(name), shallow=False)
             equal &= same
             print(f"{name}: {'equal' if same else 'differs'}")
@@ -146,12 +164,12 @@ def compare(parent: Path, change: Path, seeds: list[int], cycles: int) -> bool:
                 print("  cases: " + ", ".join(names))
             if name in replays and not same:
                 print("\n".join("  " + line for line in _kinds(*replays[name])))
-            if name in ("mtx", "read", "scale") and not same:
+            if name in ("mtx", "read", "scale", "api") and not same:
                 old, new = (json.loads(path.read_text()) for path in outs(name))
                 keys = _differing(old, new)
-                if name == "scale":
+                if name in ("scale", "api"):
                     keys = [f"{k} ({', '.join(_differing(old.get(k, {}), new.get(k, {})))})" for k in keys]
-                print(f"  {'files' if name == 'mtx' else 'cases'}: " + ", ".join(keys))
+                print(f"  {dict(mtx='files', api='names').get(name, 'cases')}: " + ", ".join(keys))
         old, new = (json.loads(path.read_text()) for path in outs("help"))
         for command in COMMANDS:
             same = old[command] == new[command]

@@ -84,6 +84,21 @@ class TestDecomposedCgRun:
             decomposed_cg_run(symmetric_eig(np.diag([1.0, 0.0])), [0.0, 1.0], [0.0, 0.0], 5,
                               breakdown_tol=breakdown_tol)
 
+    @pytest.mark.parametrize("c", [1.0, 1e160, pytest.param(1e-170, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 4: r.r underflows to 0, so the run stops converged at "
+        "iteration 0 with x = 0"))])
+    def test_extreme_scale_is_right_or_not_converged(self, c):
+        """On diag(2, 1, 0) with b = c (1, 1, 0) and a zero start the run ends at x1 = b1 / lambdas_r
+        and x2 = 0, or does not stop converged, as in test_solvers' TestScaleInvariance."""
+        dec = symmetric_eig(np.diag([2.0, 1.0, 0.0]))
+        b = c * np.array([1.0, 1.0, 0.0])
+        with np.errstate(all="ignore"):
+            dtrace = decomposed_cg_run(dec, b, np.zeros(3), 3)
+        want = np.concatenate([dtrace.b1 / dec.lambdas_r, np.zeros(1)])
+        # in the max-norm: np.linalg.norm squares, and overflows at c = 1e160
+        error = np.max(np.abs(np.concatenate([dtrace.x1[-1], dtrace.x2[-1]]) - want)) / np.max(np.abs(want))
+        assert dtrace.stop_reason != "converged" or error <= 1e-6
+
     def test_rejects_negative_iters(self):
         dec = symmetric_eig(np.eye(2))
         with pytest.raises(ValueError):

@@ -166,7 +166,7 @@ def test_compare_trees_finds_a_changed_golden_output(tmp_path):
     """The checkout against itself, then against a copy with one changed line that alters reports,
     then with a second that shortens the solver runs."""
     root = DATA.parent.parent
-    artifacts = ["golden", "replay", "unrecorded", "mtx", "read", "scale", "help solve",
+    artifacts = ["golden", "replay", "unrecorded", "mtx", "read", "scale", "api", "help solve",
                  "help diagnose", "help verify-bounds", "help generate"]
 
     def compare(change):

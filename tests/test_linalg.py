@@ -148,6 +148,26 @@ class TestSymmetricEig:
         np.testing.assert_allclose(dec.lambdas, reference, atol=1e-11 * np.abs(reference).max())
 
 
+class TestSharedNames:
+    """An eigendecomposition reads as an SVD with U = V = Q and sigmas = lambdas."""
+
+    def _dec(self):
+        g = np.random.default_rng(29).normal(size=(6, 4))
+        return symmetric_eig(g @ g.T)
+
+    def test_the_svd_names_are_the_eigendecomposition_names(self):
+        dec = self._dec()
+        assert dec.rank == 4 and dec.shape == (dec.dim, dec.dim) == (6, 6)
+        for svd_name, eig_name in [("u1", "q1"), ("v1", "q1"), ("u2", "q2"), ("v2", "q2"),
+                                   ("sigmas_r", "lambdas_r")]:
+            np.testing.assert_array_equal(getattr(dec, svd_name), getattr(dec, eig_name))
+
+    def test_apply_transpose_is_apply_bit_for_bit(self):
+        dec = self._dec()
+        x = np.random.default_rng(30).normal(size=6)
+        np.testing.assert_array_equal(dec.apply_transpose(x), dec.apply(x))
+
+
 class TestSvd:
     def test_identity(self):
         sd = svd(np.eye(2))

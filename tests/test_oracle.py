@@ -147,6 +147,12 @@ class TestPinvApplyRect:
         with pytest.raises(ValueError):
             pinv_apply_rect(sd, [1.0, 2.0])
 
+    def test_on_an_eigendecomposition_it_is_pseudoinverse_apply_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        dec = symmetric_eig(_random_spsd(rng, 8, 5))
+        b = rng.normal(size=8)
+        np.testing.assert_array_equal(pinv_apply_rect(dec, b), pseudoinverse_apply(dec, b))
+
 
 class TestConsistencyCheck:
     def test_range_rhs_is_consistent(self):
@@ -165,3 +171,17 @@ class TestConsistencyCheck:
         dec = symmetric_eig(np.diag([2.0, 1.0, 0.0]))
         report = consistency_check(dec, [1.0, 1.0, 1e-14], tol=1e-10)
         assert report.consistent
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-3])
+    def test_an_svd_is_checked_against_u2(self, gap):
+        rng = np.random.default_rng(32)
+        a = rng.normal(size=(7, 3)) @ rng.normal(size=(3, 5))
+        sd = svd(a)
+        b = a @ rng.normal(size=5) + gap * sd.u2[:, 0]
+        report = consistency_check(sd, b)
+        assert report.null_norm == float(np.linalg.norm(sd.u2.T @ b))
+        assert report.consistent == (gap == 0.0)
+
+    def test_an_svd_refuses_a_rhs_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="right-hand side has length 5, expected 7"):
+            consistency_check(svd(np.ones((7, 5))), np.ones(5))

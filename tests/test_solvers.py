@@ -297,6 +297,37 @@ class TestSolverConfig:
         assert SolverConfig(max_iters=3).iteration_cap(7) == 3
 
 
+_DIAG = symmetric_eig(np.diag([2.0, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize("call, name, value", [
+    (lambda v: SolverConfig(max_iters=v), "max_iters", 2.5),
+    (lambda v: SolverConfig(max_iters=v), "max_iters", np.float64(3.0)),
+    (lambda v: SolverConfig(max_iters=v), "max_iters", True),
+    (lambda v: decomposed_cg_run(_DIAG, [1.0, 1.0, 0.0], np.zeros(3), v), "iters", 2.5),
+    (lambda v: decomposed_cg_run(_DIAG, [1.0, 1.0, 0.0], np.zeros(3), v), "iters", True),
+    (lambda v: SolverConfig(rel_tol=v), "rel_tol", "1e-6"),
+    (lambda v: SolverConfig(rel_tol=v), "rel_tol", True),
+    (lambda v: SolverConfig(breakdown_tol=v), "breakdown_tol", None),
+    (lambda v: symmetric_eig(np.eye(2), rank_tol=v), "rank_tol", "1e-3"),
+    (lambda v: svd(np.eye(2), rank_tol=v), "rank_tol", True),
+], ids=["max_iters-float", "max_iters-float64", "max_iters-bool", "iters-float", "iters-bool",
+        "rel_tol-str", "rel_tol-bool", "breakdown_tol-None", "eig-rank_tol-str", "svd-rank_tol-bool"])
+def test_mistyped_counts_and_tolerances_are_refused(call, name, value):
+    """A count must be an int or numpy integer and a tolerance a real number, neither a bool."""
+    with pytest.raises(ValueError, match=rf"^{name} must be an? (integer|real number), got ") as refused:
+        call(value)
+    assert str(refused.value).endswith(repr(value))
+
+
+def test_numpy_counts_and_tolerances_are_accepted():
+    cfg = SolverConfig(max_iters=np.int64(3), rel_tol=np.float32(1e-6))
+    assert cfg.iteration_cap(7) == 3 and SolverConfig(breakdown_tol=1).breakdown_tol == 1
+    assert cg_solve(np.diag([2.0, 1.0]), [1.0, 1.0], np.zeros(2), cfg).stop_reason == "converged"
+    assert decomposed_cg_run(_DIAG, [1.0, 1.0, 0.0], np.zeros(3), np.int32(1)).iterations == 1
+    assert symmetric_eig(np.eye(2), rank_tol=Fraction(1, 1000)).rank == 2
+
+
 def _true_error(x, reference):
     return float(np.linalg.norm(x - reference) / np.linalg.norm(reference))
 
