@@ -34,7 +34,7 @@ from .linalg import (DEFAULT_RANK_TOL, ConvergenceError, _check_count, _check_to
                      _sized, svd, symmetric_eig)
 from .mmio import load_matrix_market, write_matrix_market
 from .oracle import consistency_check, pinv_apply_rect, pseudoinverse_apply
-from .report import RunReport, trace_csv_text, write_text_atomic
+from .report import RunReport, _float_texts, trace_csv_text, write_text_atomic
 from .solvers import SolverConfig, cg_solve, cgls_solve, cgne_solve
 
 SEED_ENV = "SEMIKRYLOV_SEED"
@@ -142,13 +142,14 @@ def _finish(args, command, method, dec, trace, checks, **fields) -> int:
         timestamp=datetime.now(timezone.utc).isoformat(),
         **(dict.fromkeys(("measured", "bound", "contraction_factor", "final_distances")) | fields),
     )
-    text = report.to_json()
+    texts = _float_texts(report)  # each number formatted once, for the JSON and the CSV
+    text = report.to_json(texts)
     if getattr(args, "out", None):
         write_text_atomic(args.out, text)
     else:
         sys.stdout.write(text)
     if getattr(args, "trace_csv", None):
-        write_text_atomic(args.trace_csv, trace_csv_text(report))
+        write_text_atomic(args.trace_csv, trace_csv_text(report, texts))
     return 0 if passed else 1
 
 

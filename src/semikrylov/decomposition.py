@@ -129,6 +129,7 @@ def equivalence_check(
     the plain run leaves nothing to compare; otherwise r_0 and x_1 (or x_0)
     are nonzero, so no size is zero.
     """
+    _check_tolerance("tol", tol)
     if trace.method != "cg":
         raise ValueError("equivalence_check expects a plain cg trace")
     if len(trace.iterates) == 0:
@@ -169,6 +170,7 @@ def null_direction_confinement(dtrace: DecomposedTrace, tol: float) -> Confineme
     is nonzero; for a consistent right-hand side the null directions are
     identically zero and the stagnation invariants apply instead.
     """
+    _check_tolerance("tol", tol)
     b2 = dtrace.b2
     nb2 = float(np.linalg.norm(b2))
     if nb2 == 0.0:

@@ -12,7 +12,7 @@ bit-identically on one platform and to rounding across platforms.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,7 +124,8 @@ class ProblemSpec:
         return sum(1 for s in self.spectrum if s > 0.0)
 
     def to_dict(self) -> dict:
-        return asdict(self) | {"dims": list(self.dims), "spectrum": list(self.spectrum)}
+        # every other field is an immutable scalar, so no deep copy is needed
+        return vars(self) | {"dims": list(self.dims), "spectrum": list(self.spectrum)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProblemSpec":

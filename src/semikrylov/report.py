@@ -22,6 +22,8 @@ _TRACE_FIELDS = {
     "bound_value": "bound",
 }
 TRACE_COLUMNS = ["iter", *_TRACE_FIELDS]
+# how json spells the non-finite values that float.__repr__ (and so csv) writes as nan, inf, -inf
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _WRITE_SLICE = 1 << 20  # characters written at a time
 
 
@@ -65,27 +67,53 @@ class RunReport:
         d["dims"] = tuple(d["dims"])
         return cls(**d)
 
-    def to_json(self) -> str:
-        # json.dumps only reads the fields, so they are encoded in place, not via a deep copy
-        return json.dumps(vars(self) | {"dims": list(self.dims)}, indent=2, sort_keys=True) + "\n"
+    def to_json(self, texts: dict | None = None) -> str:
+        """``json.dumps(..., indent=2, sort_keys=True)`` of the report, byte for byte, with the arrays of
+        ``texts`` (``_float_texts(self)``, shared with ``trace_csv_text``) joined from their texts."""
+        texts = _float_texts(self) if texts is None else texts
+        parts = []
+        for name, value in sorted((vars(self) | {"dims": list(self.dims)}).items()):
+            if name in texts:  # laid out as json.dumps lays out a list at this depth
+                body = ",\n    ".join(map(_JSON_NON_FINITE.get, texts[name], texts[name]))
+                value = f"[\n    {body}\n  ]" if body else "[]"
+            elif isinstance(value, (dict, list, tuple)):  # no raw newline in its encoding: indent each line break
+                value = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+            else:  # a scalar, which the default encoder writes as the indenting one does
+                value = json.dumps(value)
+            parts.append(f'  "{name}": {value}')
+        return "{\n" + ",\n".join(parts) + "\n}\n"
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
         return cls.from_dict(json.loads(text))
 
 
-def trace_csv_text(report: RunReport) -> str:
+def _float_texts(report: RunReport) -> dict:
+    """{field: [float.__repr__ of each value]} for each trace array that is a list of Python floats only:
+    csv writes that text, and json too where finite. Other arrays are left to the json and csv encoders."""
+    columns = ((name, getattr(report, name)) for name in _TRACE_FIELDS.values())
+    return {name: list(map(float.__repr__, column)) for name, column in columns
+            if type(column) is list and set(map(type, column)) <= {float}}
+
+
+def trace_csv_text(report: RunReport, texts: dict | None = None) -> str:
     """Render the report's per-iteration arrays as CSV with the fixed trace columns.
 
     There is one row per entry of ``res_norms``; a column that is None or
-    shorter than that leaves its cells empty.
+    shorter than that leaves its cells empty. ``texts`` is
+    ``_float_texts(report)``, shared with ``RunReport.to_json``.
     """
-    states = len(report.res_norms)
-    columns = [getattr(report, name) or () for name in _TRACE_FIELDS.values()]
+    texts = _float_texts(report) if texts is None else texts
+    states, names = len(report.res_norms), _TRACE_FIELDS.values()
+    columns = [texts.get(name, getattr(report, name)) or () for name in names]
+    rows = islice(zip_longest(map(str, range(states)), *columns, fillvalue=""), states)
+    if all(name in texts or not column for name, column in zip(names, columns)):
+        # every cell is text with no delimiter, quote or line break, which csv writes as it is
+        return "\r\n".join([",".join(TRACE_COLUMNS), *map(",".join, rows)]) + "\r\n"
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(TRACE_COLUMNS)
-    writer.writerows(islice(zip_longest(range(states), *columns, fillvalue=""), states))
+    writer.writerows(rows)
     return buf.getvalue()
 
 

@@ -5,6 +5,8 @@ Run from anywhere with ``python tests/data/compare_trees.py PARENT CHANGE
 process that imports that tree's ``src``; the two processes run side by side.
 
 - ``golden``: this checkout's ``make_golden_reports.py``, every CLI case;
+- ``text``: this checkout's ``report_texts.py``, the exact text of every
+  report (its ``timestamp`` masked) and CSV trace file those cases write;
 - ``replay``: a digest of every result of that tree's ``krylov_traces``
   workload, run for ``--cycles`` cycles per seed by this checkout's
   ``replay_krylov_traces.py --tree TREE``;
@@ -29,13 +31,13 @@ process that imports that tree's ``src``; the two processes run side by side.
 
 One line per artifact reads ``<artifact>: equal`` or ``<artifact>: differs``.
 A golden, mtx or read difference names the cases or files that differ, a
-scale or api difference names each case or name with the fields that differ
-in it, a replay or unrecorded difference names each operation kind (solver,
-for unrecorded) with its count of differing records and, per tree, its stop
-reasons and its iteration total, then names any record (paired by seed, cycle
-and kind) found in one tree only, and a help difference is shown as a diff. The
-exit code is 0 when everything is equal, 1 when anything differs, and 2 when a
-tree fails to run.
+text, scale or api difference names each case or name with the fields (for
+text, the files) that differ in it, a replay or unrecorded difference names
+each operation kind (solver, for unrecorded) with its count of differing
+records and, per tree, its stop reasons and its iteration total, then names
+any record (paired by seed, cycle and kind) found in one tree only, and a
+help difference is shown as a diff. The exit code is 0 when everything is
+equal, 1 when anything differs, and 2 when a tree fails to run.
 """
 
 import argparse
@@ -144,6 +146,7 @@ def compare(parent: Path, change: Path, seeds: list[int], cycles: int) -> bool:
 
         _run_both("golden", trees, outs("golden"),
                   [str(HERE / "make_golden_reports.py"), "{out}"], stdout=False)
+        _run_both("text", trees, outs("text"), [str(HERE / "report_texts.py")])
         _run_both("replay", trees, outs("replay"),
                   [str(HERE / "replay_krylov_traces.py"), "--tree", "{tree}",
                    "--seeds", *map(str, seeds), "--cycles", str(cycles)])
@@ -154,7 +157,7 @@ def compare(parent: Path, change: Path, seeds: list[int], cycles: int) -> bool:
         _run_both("help", trees, outs("help"), ["-c", HELP, *COMMANDS])
 
         replays = dict(zip(("replay", "unrecorded"), zip(*map(_rows, outs("replay")))))
-        for name in ("golden", "replay", "unrecorded", "mtx", "read", "scale", "api"):
+        for name in ("golden", "text", "replay", "unrecorded", "mtx", "read", "scale", "api"):
             same = replays[name][0] == replays[name][1] if name in replays else filecmp.cmp(*outs(name), shallow=False)
             equal &= same
             print(f"{name}: {'equal' if same else 'differs'}")
@@ -164,10 +167,10 @@ def compare(parent: Path, change: Path, seeds: list[int], cycles: int) -> bool:
                 print("  cases: " + ", ".join(names))
             if name in replays and not same:
                 print("\n".join("  " + line for line in _kinds(*replays[name])))
-            if name in ("mtx", "read", "scale", "api") and not same:
+            if name in ("text", "mtx", "read", "scale", "api") and not same:
                 old, new = (json.loads(path.read_text()) for path in outs(name))
                 keys = _differing(old, new)
-                if name in ("scale", "api"):
+                if name in ("text", "scale", "api"):
                     keys = [f"{k} ({', '.join(_differing(old.get(k, {}), new.get(k, {})))})" for k in keys]
                 print(f"  {dict(mtx='files', api='names').get(name, 'cases')}: " + ", ".join(keys))
         old, new = (json.loads(path.read_text()) for path in outs("help"))

@@ -20,6 +20,7 @@ from semikrylov.linalg import _relative_distance, symmetric_eig
 from semikrylov.mmio import load_matrix_market, save_matrix_market, write_matrix_market
 from semikrylov.report import RunReport, write_text_atomic
 from semikrylov.solvers import SolverConfig, cg_solve
+from test_report import reference_rows, reference_to_json, reference_trace_csv_text
 
 
 @pytest.fixture
@@ -483,6 +484,32 @@ class TestRunReportSerialization:
         ])
         report = RunReport.from_json(out.read_text())
         assert RunReport.from_json(report.to_json()) == report
+
+    @pytest.mark.parametrize("command, square", [
+        (["solve", "--method", "cg"], True), (["solve", "--method", "cgls"], False),
+        (["solve", "--method", "cgne"], False), (["diagnose", "--iters", "6"], True),
+        (["verify-bounds", "--method", "cgls"], False)], ids=["cg", "cgls", "cgne", "diagnose", "verify-bounds"])
+    def test_written_texts_match_the_reference_renderers(self, tmp_path, command, square):
+        """The report and CSV texts that one formatting pass in _finish gives, against test_report's
+        renderers; both problems are inconsistent, so their null residuals grow."""
+        spec = (ProblemSpec("spsd", (12, 12), tuple(np.geomspace(1, 0.05, 8)) + (0.0,) * 4, seed=72,
+                            consistency_gap=1e-2) if square else
+                ProblemSpec("rectangular", (16, 10), tuple(np.geomspace(1, 0.1, 7)) + (0.0,) * 3, seed=73,
+                            consistency_gap=0.1))
+        problem = make_problem(spec)
+        save_matrix_market(tmp_path / "a.mtx", problem.a)
+        save_matrix_market(tmp_path / "b.mtx", problem.b.reshape(-1, 1))
+        (tmp_path / "spec.json").write_text(json.dumps(spec.to_dict()))
+        inputs = (["--spec", str(tmp_path / "spec.json")] if command[0] == "verify-bounds" else
+                  ["--matrix", str(tmp_path / "a.mtx"), "--rhs", str(tmp_path / "b.mtx")])
+        csv_flag = [] if command[0] == "diagnose" else ["--trace-csv", str(tmp_path / "trace.csv")]
+        assert run_command([*command, *inputs, "--out", str(tmp_path / "report.json"), *csv_flag]) in (0, 1)
+        text = (tmp_path / "report.json").read_bytes().decode()
+        report = RunReport.from_json(text)
+        assert report.res_norms and text == reference_to_json(report)
+        if csv_flag:
+            csv_text = (tmp_path / "trace.csv").read_bytes().decode()
+            assert csv_text == reference_trace_csv_text(reference_rows(report))
 
     def test_atomic_write_replaces_content(self, tmp_path):
         target = tmp_path / "file.txt"

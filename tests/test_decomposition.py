@@ -147,6 +147,15 @@ class TestEquivalenceCheck:
         with pytest.raises(ValueError):
             equivalence_check(trace, dtrace, dec, 1e-8)
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf, "1e-8", True])
+    def test_rejects_a_bad_tol(self, tol):
+        a = np.diag([2.0, 1.0, 0.0])
+        dec = symmetric_eig(a)
+        trace = cg_solve(a, [2.0, 1.0, 0.0], np.zeros(3))
+        dtrace = decomposed_cg_run(dec, [2.0, 1.0, 0.0], np.zeros(3), 2)
+        with pytest.raises(ValueError, match="^tol must be"):
+            equivalence_check(trace, dtrace, dec, tol)
+
     def test_generated_problems_consistent_and_inconsistent(self):
         for seed, gap in ((100, 0.0), (101, 0.5), (102, 0.0), (103, 0.5)):
             spec = ProblemSpec(
@@ -300,6 +309,12 @@ class TestNullDirectionConfinement:
         report = null_direction_confinement(dtrace, 1e-8)
         assert report.passed
         assert report.max_angle <= 1e-12
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf, "1e-8", True])
+    def test_rejects_a_bad_tol(self, tol):
+        dtrace = decomposed_cg_run(symmetric_eig(np.diag([1.0, 0.0])), [1.0, 0.5], np.zeros(2), 3)
+        with pytest.raises(ValueError, match="^tol must be"):
+            null_direction_confinement(dtrace, tol)
 
     def test_consistent_case_is_an_error(self):
         dec = symmetric_eig(np.diag([2.0, 1.0, 0.0]))

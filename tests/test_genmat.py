@@ -1,4 +1,5 @@
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -51,6 +52,18 @@ class TestProblemSpec:
             x0_mode="random_range",
         )
         assert ProblemSpec.from_dict(spec.to_dict()) == spec
+
+    def test_to_dict_is_the_asdict_form_and_a_copy(self):
+        """Key for key and in order, as dataclasses.asdict gave it, and mutating it leaves the spec as it was."""
+        spec = ProblemSpec("spsd", (3, 3), (1.0, 0.5, 0.0), seed=4, consistency_gap=0.25, x0_mode="random_full")
+        d = spec.to_dict()
+        assert list(d.items()) == list((asdict(spec) | {"dims": [3, 3], "spectrum": [1.0, 0.5, 0.0]}).items())
+        d["dims"].append(1)
+        d["spectrum"][0] = 9.0
+        d["seed"] = 5
+        assert spec == ProblemSpec("spsd", (3, 3), (1.0, 0.5, 0.0), seed=4, consistency_gap=0.25,
+                                   x0_mode="random_full")
+        assert spec.to_dict() == asdict(spec) | {"dims": [3, 3], "spectrum": [1.0, 0.5, 0.0]}
 
     def test_missing_field_is_a_value_error(self):
         with pytest.raises(ValueError):

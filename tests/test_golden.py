@@ -166,7 +166,7 @@ def test_compare_trees_finds_a_changed_golden_output(tmp_path):
     """The checkout against itself, then against a copy with one changed line that alters reports,
     then with a second that shortens the solver runs."""
     root = DATA.parent.parent
-    artifacts = ["golden", "replay", "unrecorded", "mtx", "read", "scale", "api", "help solve",
+    artifacts = ["golden", "text", "replay", "unrecorded", "mtx", "read", "scale", "api", "help solve",
                  "help diagnose", "help verify-bounds", "help generate"]
 
     def compare(change):
@@ -188,7 +188,10 @@ def test_compare_trees_finds_a_changed_golden_output(tmp_path):
     assert code == 1
     assert lines[0] == "golden: differs"
     assert lines[1].startswith("  cases: solve_cg, ")
-    assert lines[2:] == [f"{name}: equal" for name in artifacts[1:]]
+    # the report files that golden compares parsed differ as text too; no CSV trace changes
+    assert lines[2] == "text: differs"
+    assert lines[3].startswith("  cases: solve_cg (--out), ") and "csv" not in lines[3]
+    assert lines[4:] == [f"{name}: equal" for name in artifacts[2:]]
 
     # a looser default stop: the krylov_traces solves that converge do so sooner
     solvers_py = copy / "src" / "semikrylov" / "solvers.py"

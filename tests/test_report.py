@@ -12,6 +12,7 @@ import io
 import json
 from dataclasses import asdict
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,20 +64,25 @@ floats = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_in
                    st.floats())
 keys = st.text(min_size=1, max_size=8)
 scalars = st.one_of(st.none(), st.booleans(), st.integers(), floats, st.text(max_size=8))
+# what a trace column may hold besides Python floats: each sends both renderers down their fallback
+cells = st.one_of(floats, st.integers(), st.booleans(), floats.map(np.float64), st.text(max_size=4))
 nested = st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
                       | st.dictionaries(keys, inner, max_size=3), max_leaves=8)
 
 
 @st.composite
 def reports(draw):
-    """Reports with ragged, missing and empty columns; states 0 means no rows at all."""
+    """Reports with ragged, missing and empty columns; states 0 means no rows at all. Half of them
+    hold Python floats only, the rest mix columns of floats with columns of any cells."""
     states = draw(st.integers(0, 7))
+    mixed = draw(st.booleans())
 
     def column(optional=False, length=None):
         if optional and draw(st.booleans()):
             return None
         size = draw(st.integers(0, states + 1)) if length is None else max(length, 0)
-        return draw(st.lists(floats, min_size=size, max_size=size))
+        values = draw(st.sampled_from([floats, cells])) if mixed else floats
+        return draw(st.lists(values, min_size=size, max_size=size))
 
     ragged = draw(st.booleans())
     iterations = max(states - 1, 0)
