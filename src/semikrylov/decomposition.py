@@ -17,6 +17,7 @@ stops there.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,13 +76,13 @@ def decomposed_cg_run(decomp: SpectralDecomposition, b, x0, iters: int,
     _check_tolerance("breakdown_tol", breakdown_tol)
 
     rank = decomp.rank
-    lam_full = np.concatenate([decomp.lambdas_r, np.zeros(decomp.dim - rank)])
+    apply = functools.partial(np.multiply, np.concatenate([decomp.lambdas_r, np.zeros(decomp.dim - rank)]))
     parts_b, parts_x0 = split(decomp, b), split(decomp, x0)
     b1, b2 = parts_b.range_part, parts_b.null_part
     x = np.concatenate([parts_x0.range_part, parts_x0.null_part])
 
     floor = breakdown_tol * float(np.linalg.norm(decomp.lambdas))
-    run = _cg_recurrence(lambda p: lam_full * p, np.concatenate([b1, b2]), x, iters, 0.0, floor, True)
+    run = _cg_recurrence(apply, np.concatenate([b1, b2]), x, iters, 0.0, floor, True)
     xs, rs, ps = run.iterates, run.residuals, run.directions
     stop_reason = COMPLETED if run.stop_reason == MAX_ITERS else run.stop_reason
     return DecomposedTrace(xs[:, :rank], rs[:, :rank], ps[:, :rank], xs[:, rank:], rs[:, rank:],

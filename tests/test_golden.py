@@ -162,6 +162,20 @@ def test_a_cycle_count_below_one_is_refused(argv):
     assert done.returncode == 2 and "--cycles must be at least 1" in done.stderr and not done.stdout
 
 
+def test_loop_step_times_compares_a_checkout_with_itself(tmp_path):
+    script, root = str(DATA / "loop_step_times.py"), str(DATA.parent.parent)
+    done = subprocess.run([sys.executable, script, root, root, "--repeats", "2"], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    head, *rows = done.stdout.splitlines()
+    assert head.split() == ["loop", "parent", "us/iter", "change", "us/iter", "change/parent"]
+    assert [row.split()[0] for row in rows] == ["cg", "cgls", "cgne", "eigenbasis"]
+    assert all(float(value) > 0 for row in rows for value in row.split()[1:])
+    for argv, message in [(["--repeats", "0"], "--repeats must be at least 1"),
+                          (["--repeats", "1"], f"error: {tmp_path} failed to run")]:
+        done = subprocess.run([sys.executable, script, str(tmp_path), root, *argv], capture_output=True, text=True)
+        assert done.returncode == 2 and message in done.stderr and not done.stdout
+
+
 def test_compare_trees_finds_a_changed_golden_output(tmp_path):
     """The checkout against itself, then against a copy with one changed line that alters reports,
     then with a second that shortens the solver runs."""

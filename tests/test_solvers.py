@@ -450,7 +450,8 @@ def _check_run(trace, want, record):
     """``trace`` is the textbook run ``want`` bit for bit: its scalars are Python floats, unrecorded
     histories have zero rows, and the fields the textbook run has no key for are None."""
     assert trace.stop_reason == want["stop_reason"]
-    assert {type(v) for v in trace.alphas + trace.betas + trace.res_norms} <= {float}
+    scalars = trace.alphas + trace.betas + trace.res_norms + (trace.normal_res_norms or [])
+    assert {type(v) for v in scalars} <= {float}
     for key in ("alphas", "betas", "res_norms", "normal_res_norms", "x", "y"):
         if key in want:
             _bit_identical(getattr(trace, key), want[key])
@@ -508,6 +509,7 @@ def _decomposed_case(problem, iters):
     want = textbook_cg(lambda p: lam_full * p, x, r, iters, 0.0, 1e-14 * np.linalg.norm(dec.lambdas))
     dtrace = decomposed_cg_run(dec, problem.b, problem.x0, iters)
     assert dtrace.stop_reason == ("completed" if want["stop_reason"] == "max_iters" else want["stop_reason"])
+    assert {type(v) for v in dtrace.alphas + dtrace.betas} <= {float}
     _bit_identical(dtrace.alphas, want["alphas"])
     _bit_identical(dtrace.betas, want["betas"])
     for block, key in [((dtrace.x1, dtrace.x2), "xs"), ((dtrace.r1, dtrace.r2), "rs"),
@@ -563,6 +565,40 @@ class TestBitIdenticalToTextbookLoops:
         assert run.stop_reason == reason
         # one apply for r_0, and a breakdown is found after one more, for the attempt that did not complete
         assert len(calls) == 1 + run.iterations + (reason == "breakdown")
+
+
+class _ArrayOnlyUfunc:
+    """A ufunc that records its calls and fails on an operand or ``out`` that is not an ndarray."""
+
+    def __init__(self, ufunc, calls):
+        self.ufunc, self.calls = ufunc, calls
+
+    def __getattr__(self, name):
+        return getattr(self.ufunc, name)
+
+    def __call__(self, *args, **kwargs):
+        self.calls[self.ufunc.__name__] += 1
+        others = [type(v).__name__ for v in args + tuple(kwargs.values()) if not isinstance(v, np.ndarray)]
+        assert not others, f"{self.ufunc.__name__} called with {others}"
+        return self.ufunc(*args, **kwargs)
+
+
+@pytest.mark.parametrize("record", [True, False])
+def test_loop_steps_hand_numpy_arrays_only(monkeypatch, record):
+    """Every np.multiply, np.subtract and np.add call of the solvers module takes ndarrays only, as
+    its module notes say: numpy converts a Python float or np.float64 operand anew on each call."""
+    calls = collections.Counter()
+    checked = {name: _ArrayOnlyUfunc(getattr(np, name), calls) for name in ("multiply", "subtract", "add")}
+    monkeypatch.setattr(solvers, "np", types.SimpleNamespace(**(vars(np) | checked)))
+    # tiny blocks, so that the histories grow and unrecorded runs fold their steps into x
+    monkeypatch.setattr(solvers, "_BLOCK", 2)
+    cfg = SolverConfig(record_trace=record)
+    spsd, tall, wide = _bit_problem("spsd", True), _bit_problem("tall", False), _bit_problem("wide", True)
+    runs = [cg_solve(spsd.a, spsd.b, spsd.x0, cfg), cgls_solve(tall.a, tall.b, tall.x0, cfg),
+            cgne_solve(wide.a, wide.b, np.zeros(wide.a.shape[0]), cfg),
+            decomposed_cg_run(symmetric_eig(spsd.a), spsd.b, spsd.x0, 40)]
+    assert min(run.iterations for run in runs) > 10
+    assert set(calls) == {"multiply", "subtract", "add"}
 
 
 @st.composite
