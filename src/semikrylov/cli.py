@@ -1,14 +1,15 @@
 """Command-line surface: solve, diagnose, verify-bounds, generate.
 
-A report command (solve, diagnose, verify-bounds) runs four steps. It
-decomposes A: the eigendecomposition for cg, which first checks that A is
-square and symmetric, and the SVD otherwise. It then reads the start vector
-and runs the solver. Last, it writes the JSON report atomically to --out (or
-to stdout without it), and the optional --trace-csv trace reads each column
-from the report array of the same name. Exit codes: 0 when every check in
-the run passed, 1 when a check failed, 2 on usage, parse, or input errors, a
-malformed spec file included. SEMIKRYLOV_SEED overrides the seed of a
-problem spec file; an explicit --seed flag overrides both.
+A report command (solve, diagnose, verify-bounds) reads the row of its
+--method in one method table (diagnose runs cg) and runs four steps. It
+decomposes A with the row's oracle (for cg the eigendecomposition, which first
+checks that A is square and symmetric; else the SVD), reads the start along
+the row's axis of A and runs the row's solver. Last, it writes the JSON report
+atomically to --out (or to stdout), and the optional --trace-csv trace reads
+each column from the report array of the same name. Exit codes: 0 when every
+check in the run passed, 1 when a check failed, 2 on usage, parse, or input
+errors, a malformed spec file included. SEMIKRYLOV_SEED overrides the seed of
+a problem spec file; an explicit --seed flag overrides both.
 
 run_command may be called repeatedly in one process. The calls share one
 parser, built on the first call, and each call reads the environment
@@ -22,6 +23,7 @@ import functools
 import json
 import os
 import sys
+from collections import namedtuple
 from dataclasses import replace
 from datetime import datetime, timezone
 
@@ -96,32 +98,46 @@ def _row_norms(rows: np.ndarray, basis: np.ndarray) -> list:
     return np.sqrt(np.add.reduce(np.multiply(product, product, out=product), axis=1)).tolist()
 
 
-def _decompose(method, a, rank_tol):
-    """The oracle of --method: the eigendecomposition for cg (square and symmetric), else the SVD."""
-    return symmetric_eig(a, rank_tol) if method == "cg" else svd(a, rank_tol)
+_Method = namedtuple("_Method", "oracle start_axis solver min_norm limit bound_verify summary_names")
 
 
-def _solve(args, a, b, start):
-    """Run --method on a and b from start, within --max-iters and --rel-tol."""
-    # looked up per call, so a solver replaced on this module (by a tracer, say) is the one run
-    solver = {"cg": cg_solve, "cgls": cgls_solve, "cgne": cgne_solve}[args.method]
-    return solver(a, b, start, SolverConfig(max_iters=args.max_iters, rel_tol=args.rel_tol))
+def _methods() -> dict:
+    """The method table, built per call, so a name replaced on this module (by a tracer, say) is the one run."""
+    sigma_names = ("sigma_1", "sigma_r", "sigma_ratio")
+    return {
+        "cg": _Method(symmetric_eig, 1, cg_solve, pseudoinverse_apply,
+                      lambda dec, xdag, x0: xdag + dec.v2 @ (dec.v2.T @ x0),
+                      lambda trace, dec, b: cg_bound_verify(trace, dec), ("lambda_1", "lambda_r", "kappa")),
+        # the same vector as cg's limit x† + V2 V2ᵀ x0, in the rounding that the golden cgls reports pin
+        "cgls": _Method(svd, 1, cgls_solve, pinv_apply_rect,
+                        lambda dec, xdag, x0: xdag + (x0 - dec.v1 @ (dec.v1.T @ x0)),
+                        lambda trace, dec, b: cgls_bound_verify(trace, dec, pinv_apply_rect(dec, b)), sigma_names),
+        "cgne": _Method(svd, 0, cgne_solve, pinv_apply_rect, lambda dec, xdag, x0: xdag,
+                        lambda trace, dec, b: cgne_bound_verify(trace, dec), sigma_names),
+    }
+
+
+def _run(args, a, b, start):
+    """Decompose a with the oracle of --method, take start(axis) along its row's axis and run its solver."""
+    row = _methods()[args.method]
+    dec = row.oracle(a, args.rank_tol)
+    x0 = start(row.start_axis)
+    return row, dec, x0, row.solver(a, b, x0, SolverConfig(max_iters=args.max_iters, rel_tol=args.rel_tol))
 
 
 def _finish(args, command, method, dec, trace, checks, **fields) -> int:
     """Build the report, write it (and the CSV trace) and return the exit code.
 
-    The dims, rank, spectral summary and residual bases come from ``dec``, the
-    oracle of ``method``, read as an SVD (U = V = Q for cg's eigendecomposition);
-    only the summary's key names depend on ``method``. ``fields`` are the
-    command's own report fields. Each CSV column is read from the report array
-    of the same name, so the CSV and the JSON cannot disagree.
+    The dims, rank, spectral summary and residual bases come from ``dec``, read
+    as an SVD (U = V = Q for cg), and the summary's key names from the row of
+    ``method``. ``fields`` are the command's own report fields. Each CSV column
+    is read from the report array of the same name, so the CSV and the JSON
+    cannot disagree.
     """
-    names = ("lambda_1", "lambda_r", "kappa") if method == "cg" else ("sigma_1", "sigma_r", "sigma_ratio")
     summary = {}
     if dec.rank > 0:
         first, last = float(dec.sigmas_r[0]), float(dec.sigmas_r[-1])
-        summary = dict(zip(names, (first, last, first / last)))
+        summary = dict(zip(_methods()[method].summary_names, (first, last, first / last)))
     passed = all(checks.values())
     report = RunReport(
         command=command,
@@ -156,26 +172,17 @@ def _finish(args, command, method, dec, trace, checks, **fields) -> int:
 def _cmd_solve(args) -> int:
     a = _load_matrix(args.matrix)
     b = _load_vector(args.rhs)
-    dec = _decompose(args.method, a, args.rank_tol)
-    start = _x0_from_flag(args.x0, a.shape[0] if args.method == "cgne" else a.shape[1])
-    trace = _solve(args, a, b, start)
-
-    xdag = (pseudoinverse_apply if args.method == "cg" else pinv_apply_rect)(dec, b)
-    if args.method == "cg":
-        expected = xdag + dec.v2 @ (dec.v2.T @ start)
-    else:
-        expected = xdag + (start - dec.v1 @ (dec.v1.T @ start)) if args.method == "cgls" else xdag
-
+    row, dec, start, trace = _run(args, a, b, lambda axis: _x0_from_flag(args.x0, a.shape[axis]))
+    xdag = row.min_norm(dec, b)
+    expected = row.limit(dec, xdag, start)
     size = np.linalg.norm(trace.x) or 1.0  # what a zero reference is measured by (1 if x is zero too)
     distances = {
         "min_norm": _relative_distance(trace.x, xdag, np.linalg.norm(xdag) or size),
         "expected": _relative_distance(trace.x, expected, np.linalg.norm(expected) or size),
         "rhs_null_norm": float(np.linalg.norm(dec.u2.T @ b)),
     }
-    checks = {
-        "converged": trace.stop_reason == "converged",
-        "matches_oracle": distances["expected"] <= ORACLE_MATCH_TOL,
-    }
+    checks = {"converged": trace.stop_reason == "converged",
+              "matches_oracle": distances["expected"] <= ORACLE_MATCH_TOL}
     return _finish(args, "solve", args.method, dec, trace, checks, final_distances=distances)
 
 
@@ -184,7 +191,7 @@ def _cmd_diagnose(args) -> int:
     _check_count("--iters", args.iters, 1)
     a = _load_matrix(args.matrix)
     b = _load_vector(args.rhs)
-    decomp = _decompose("cg", a, args.rank_tol)
+    decomp = symmetric_eig(a, args.rank_tol)
     if decomp.rank == 0:
         raise ValueError(f"numerical rank is 0 at --rank-tol {args.rank_tol}: nothing to compare")
     x0 = _x0_from_flag(args.x0, decomp.dim)
@@ -225,20 +232,12 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_verify_bounds(args) -> int:
     spec, problem = _load_problem(args)
-    dec = _decompose(args.method, problem.a, args.rank_tol)
-    start = problem.x0 if args.method != "cgne" else np.zeros(problem.a.shape[0])
-    trace = _solve(args, problem.a, problem.b, start)
-
-    # looked up per call, as in _solve; only the cgls bound needs the minimum-norm solution
-    verify = {"cg": cg_bound_verify, "cgls": cgls_bound_verify, "cgne": cgne_bound_verify}
-    extra = (pinv_apply_rect(dec, problem.b),) if args.method == "cgls" else ()
-    bound_report = verify[args.method](trace, dec, *extra)
-
+    row, dec, _, trace = _run(args, problem.a, problem.b,  # the spec's x0 is a column start; cgne's y0 is 0
+                              lambda axis: problem.x0 if axis == 1 else np.zeros(problem.a.shape[0]))
+    bound_report = row.bound_verify(trace, dec, problem.b)
     return _finish(
-        args, "verify-bounds", args.method, dec, trace,
-        {"bound_holds": bound_report.passed},
-        measured=list(bound_report.measured),
-        bound=list(bound_report.bound),
+        args, "verify-bounds", args.method, dec, trace, {"bound_holds": bound_report.passed},
+        measured=list(bound_report.measured), bound=list(bound_report.bound),
         contraction_factor=bound_report.contraction_factor,
         diagnostics={
             "bound_kind": bound_report.kind,
@@ -268,7 +267,7 @@ def _cmd_generate(args) -> int:
 
 # every flag once: its argparse keywords
 _FLAGS = {
-    "--method": dict(required=True, choices=["cg", "cgls", "cgne"]),
+    "--method": dict(required=True, choices=list(_methods())),
     "--matrix": dict(required=True, help="Matrix Market file for A"),
     "--rhs": dict(required=True, help="Matrix Market n x 1 file for b"),
     "--x0": dict(default="zero", help="'zero' or 'file:<path>' (y0 for cgne)"),

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib.util
 import io
@@ -744,6 +745,17 @@ def test_every_traced_cli_name_is_called_through_the_module(tmp_path, monkeypatc
     for name, argv in cases:
         assert golden_script.run_case(tmp_path, argv)["exit"] in (0, 1), name
     assert [name for name, count in calls.items() if count == 0] == []
+
+
+def test_method_table_keys_are_the_method_choices():
+    """--method offers exactly the table's rows, in the order cg, cgls, cgne, on every command that takes it."""
+    subcommands = next(action for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)).choices
+    for command in ("solve", "verify-bounds"):
+        method = next(action for action in subcommands[command]._actions if action.dest == "method")
+        assert list(method.choices) == list(cli._methods()) == ["cg", "cgls", "cgne"], command
+    assert [name for name, parser in subcommands.items()
+            if any(action.dest == "method" for action in parser._actions)] == ["solve", "verify-bounds"]
 
 
 @pytest.mark.parametrize("command, x0_length", [("solve", 16), ("diagnose", 10)])
