@@ -179,7 +179,7 @@ def _cmd_solve(args) -> int:
     distances = {
         "min_norm": _relative_distance(trace.x, xdag, np.linalg.norm(xdag) or size),
         "expected": _relative_distance(trace.x, expected, np.linalg.norm(expected) or size),
-        "rhs_null_norm": float(np.linalg.norm(dec.u2.T @ b)),
+        "rhs_null_norm": consistency_check(dec, b).null_norm,
     }
     checks = {"converged": trace.stop_reason == "converged",
               "matches_oracle": distances["expected"] <= ORACLE_MATCH_TOL}
@@ -219,11 +219,8 @@ def _cmd_diagnose(args) -> int:
         confinement = null_direction_confinement(replace(dtrace, p2=trace.directions @ q2), args.tol)
         checks["null_confinement"] = confinement.passed
         diagnostics["max_null_direction_sine"] = confinement.max_angle
-        # the equivalence check's r2 block deviation bit for bit (every eigenbasis r2 row is b2),
-        # so this check fails only when equivalence does
-        residuals = trace.residuals[: equivalence.iterations_compared + 1]
-        residual_drift = _relative_distance(residuals @ q2, dtrace.b2,
-                                            np.max(np.linalg.norm(residuals, axis=1)))
+        # every eigenbasis r2 row is b2, so this fails only when equivalence does
+        residual_drift = equivalence.deviations["r2"]
         checks["null_residual_constant"] = residual_drift <= args.tol
         diagnostics["max_null_residual_drift"] = residual_drift
 

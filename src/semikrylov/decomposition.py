@@ -18,7 +18,7 @@ stops there.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,9 +91,13 @@ def decomposed_cg_run(decomp: SpectralDecomposition, b, x0, iters: int,
 
 @dataclass(frozen=True)
 class EquivalenceReport:
+    """What ``equivalence_check`` measured: ``deviations`` maps each block (x1, x2, r1, r2, p1, p2, in
+    that order) to its deviation over the states compared, and max_deviation is the largest of them."""
+
     max_deviation: float
     iterations_compared: int
     passed: bool
+    deviations: dict[str, float] = field(default_factory=dict)
 
 
 def _healthy_states(trace: SolveTrace, dtrace: DecomposedTrace) -> int:
@@ -142,18 +146,18 @@ def equivalence_check(
                  else f"its residuals lose orthogonality past {_HORIZON_ORTH:g} at iteration 1")
         raise ValueError(f"the plain run left nothing to compare: {cause}")
 
-    devs = []
-    for plain, d1, d2 in (
-        (trace.iterates, dtrace.x1, dtrace.x2),
-        (trace.residuals, dtrace.r1, dtrace.r2),
-        (trace.directions, dtrace.p1, dtrace.p2),
+    devs = {}
+    for name, plain, d1, d2 in (
+        ("x", trace.iterates, dtrace.x1, dtrace.x2),
+        ("r", trace.residuals, dtrace.r1, dtrace.r2),
+        ("p", trace.directions, dtrace.p1, dtrace.p2),
     ):
         plain = np.asarray(plain[:states])
         size = np.max(np.linalg.norm(plain, axis=1))  # positive: the run took a step
-        devs.append(_relative_distance(plain @ decomp.q1, d1[:states], size))
-        devs.append(_relative_distance(plain @ decomp.q2, d2[:states], size))
-    max_dev = float(np.max(devs))
-    return EquivalenceReport(max_dev, states - 1, max_dev <= tol)
+        devs[name + "1"] = _relative_distance(plain @ decomp.q1, d1[:states], size)
+        devs[name + "2"] = _relative_distance(plain @ decomp.q2, d2[:states], size)
+    max_dev = float(np.max(list(devs.values())))  # np.max, so a NaN block reads NaN
+    return EquivalenceReport(max_dev, states - 1, max_dev <= tol, devs)
 
 
 @dataclass(frozen=True)

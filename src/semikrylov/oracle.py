@@ -68,12 +68,6 @@ def consistency_check(
     null_norm is ||U2^T b|| (||Q2^T b|| for an eigendecomposition); the system
     counts as consistent when it does not exceed tol * ||b||.
     """
-    return _consistency(decomp.u2, _sized(b, decomp.shape[0], "right-hand side"), tol)
-
-
-def _consistency(
-    null_basis: np.ndarray, b: np.ndarray, tol: float = DEFAULT_CONSISTENCY_TOL
-) -> ConsistencyReport:
-    """ConsistencyReport of b against a basis (U2) of the complement of the range."""
-    null_norm = float(np.linalg.norm(null_basis.T @ b))
+    b = _sized(b, decomp.shape[0], "right-hand side")
+    null_norm = float(np.linalg.norm(decomp.u2.T @ b))
     return ConsistencyReport(null_norm <= tol * float(np.linalg.norm(b)), null_norm)

@@ -7,8 +7,8 @@ and 1e12, the case ``<family>/<c>`` records, on ``(c A, c b)``:
 
 - ``rank``: the numerical rank at the default ``rank_tol``, from the
   eigendecomposition for an spsd family and the SVD otherwise;
-- ``consistent``: the consistency verdict on ``c b`` against that oracle's
-  null basis;
+- ``consistent``: the verdict of ``consistency_check`` on ``c b`` against
+  that oracle;
 - ``symmetric``: whether ``c A`` passes ``check_symmetric`` (``null`` for a
   rectangular family);
 - one entry per method (cg for an spsd family, cgls and cgne for all):
@@ -43,7 +43,7 @@ from semikrylov.cli import run_command
 from semikrylov.genmat import ProblemSpec, make_problem
 from semikrylov.linalg import check_symmetric, svd, symmetric_eig
 from semikrylov.mmio import save_matrix_market
-from semikrylov.oracle import _consistency
+from semikrylov.oracle import consistency_check
 from semikrylov.solvers import cg_solve, cgls_solve, cgne_solve
 
 SCALES = (1e-12, 1e-9, 1e-6, 1.0, 1e6, 1e12)
@@ -82,13 +82,8 @@ def _diagnose(a, b, x0, iters: int) -> list:
 
 def _case(problem, spsd: bool, c: float) -> dict:
     a, b = c * problem.a, c * problem.b
-    if spsd:
-        dec = symmetric_eig(a)
-        rank, null_basis = dec.rank, dec.q2
-    else:
-        sd = svd(a)
-        rank, null_basis = sd.rank, sd.u2
-    case = {"rank": rank, "consistent": _consistency(null_basis, b).consistent,
+    dec = symmetric_eig(a) if spsd else svd(a)
+    case = {"rank": dec.rank, "consistent": consistency_check(dec, b).consistent,
             "symmetric": _passes_symmetry(a) if spsd else None}
     xdag = problem.xstar_reference
     for method in ("cg", "cgls", "cgne") if spsd else ("cgls", "cgne"):

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 from semikrylov import cli, decomposition
 from semikrylov.cli import SEED_ENV, run_command
 from semikrylov.genmat import ProblemSpec, make_problem
-from semikrylov.linalg import _relative_distance, symmetric_eig
+from semikrylov.linalg import _relative_distance, svd, symmetric_eig
 from semikrylov.mmio import load_matrix_market, save_matrix_market, write_matrix_market
+from semikrylov.oracle import consistency_check
 from semikrylov.report import RunReport, write_text_atomic
 from semikrylov.solvers import SolverConfig, cg_solve
 from test_report import reference_rows, reference_to_json, reference_trace_csv_text
@@ -189,6 +190,28 @@ def test_matches_oracle_with_a_small_solution(tmp_path):
         "--rhs", str(tmp_path / "b.mtx"), "--max-iters", "3", "--out", str(out),
     ]) == 1
     assert not RunReport.from_json(out.read_text()).checks["matches_oracle"]
+
+
+_EXTREME_SCALE = make_problem(ProblemSpec("spsd", (20, 20), tuple(np.geomspace(1.0, 1e-2, 16)) + (0.0,) * 4, seed=3))
+_ITEM_20 = pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 20: the squared norms overflow or underflow. At 1e160 res_norms[0] is inf (cgls reports "
+    "604 non-finite numbers); at 1e-170 every method stops converged at iteration 0 and misses the oracle"))
+
+
+@pytest.mark.parametrize("c", [1.0, pytest.param(1e160, marks=_ITEM_20), pytest.param(1e-170, marks=_ITEM_20)])
+@pytest.mark.parametrize("method", ["cg", "cgls", "cgne"])
+def test_solve_reports_finite_norms_and_a_true_stop_at_any_scale(tmp_path, method, c):
+    """solve on (c A, c b) from zero: every norm it reports is finite, and a converged run matches the oracle."""
+    save_matrix_market(tmp_path / "a.mtx", c * _EXTREME_SCALE.a)
+    save_matrix_market(tmp_path / "b.mtx", c * _EXTREME_SCALE.b.reshape(-1, 1))
+    out = tmp_path / "report.json"
+    with np.errstate(all="ignore"):
+        run_command(["solve", "--method", method, "--matrix", str(tmp_path / "a.mtx"),
+                     "--rhs", str(tmp_path / "b.mtx"), "--out", str(out)])
+    report = RunReport.from_json(out.read_text())
+    numbers = [*report.res_norms, *report.range_res_norms, *report.null_res_norms, *report.final_distances.values()]
+    assert all(np.isfinite(numbers))
+    assert report.checks["matches_oracle"] or not report.checks["converged"]
 
 
 class TestDiagnoseCommand:
@@ -720,6 +743,20 @@ tracing = _load_script(ROOT / "bench" / "tracing.py")
 golden_script = _load_script(ROOT / "tests" / "data" / "make_golden_reports.py")
 CLI_SITES = [name for module, name, _ in tracing.WRAP_SITES
              if module == "semikrylov.cli" and name != "run_command"]
+
+
+@pytest.mark.parametrize("method", ["cg", "cgls", "cgne"])
+def test_rhs_null_norm_is_the_consistency_check(tmp_path, method):
+    """solve's final_distances.rhs_null_norm is consistency_check's null_norm on the same files."""
+    problem = make_problem(ProblemSpec.from_dict(golden_script.SPECS["gap"]))
+    save_matrix_market(tmp_path / "a.mtx", problem.a)
+    save_matrix_market(tmp_path / "b.mtx", problem.b.reshape(-1, 1))
+    out = tmp_path / "report.json"
+    assert run_command(["solve", "--method", method, "--matrix", str(tmp_path / "a.mtx"),
+                        "--rhs", str(tmp_path / "b.mtx"), "--out", str(out)]) in (0, 1)
+    a, b = load_matrix_market(tmp_path / "a.mtx"), load_matrix_market(tmp_path / "b.mtx")[:, 0]
+    dec = symmetric_eig(a) if method == "cg" else svd(a)
+    assert RunReport.from_json(out.read_text()).final_distances["rhs_null_norm"] == consistency_check(dec, b).null_norm
 
 
 def test_every_traced_cli_name_is_called_through_the_module(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from krylov_reference import textbook_cg
+from test_cli_golden import golden_script
 
 from semikrylov import cli
 from semikrylov.cli import DIAGNOSE_TOL, run_command
@@ -119,6 +120,16 @@ class TestEquivalenceCheck:
         report = equivalence_check(trace, dtrace, dec, 1e-10)
         assert report.passed
         assert report.max_deviation <= 1e-12
+
+    @pytest.mark.parametrize("family", ["spsd", "gap"])
+    def test_deviations_hold_the_six_blocks_and_their_max(self, family):
+        """On the golden consistent (spsd) and inconsistent (gap) families, at diagnose's 6 iterations."""
+        problem = make_problem(ProblemSpec.from_dict(golden_script.SPECS[family]))
+        dec = symmetric_eig(problem.a)
+        trace = cg_solve(problem.a, problem.b, problem.x0, SolverConfig(max_iters=6))
+        report = equivalence_check(trace, decomposed_cg_run(dec, problem.b, problem.x0, 6), dec, DIAGNOSE_TOL)
+        assert list(report.deviations) == ["x1", "x2", "r1", "r2", "p1", "p2"]
+        assert report.max_deviation == max(report.deviations.values())
 
     def test_identity_matches_exactly(self):
         dec = symmetric_eig(np.eye(2))
