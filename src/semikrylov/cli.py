@@ -1,15 +1,15 @@
 """Command-line surface: solve, diagnose, verify-bounds, generate.
 
-A report command (solve, diagnose, verify-bounds) reads the row of its
---method in one method table (diagnose runs cg) and runs four steps. It
-decomposes A with the row's oracle (for cg the eigendecomposition, which first
-checks that A is square and symmetric; else the SVD), reads the start along
-the row's axis of A and runs the row's solver. Last, it writes the JSON report
-atomically to --out (or to stdout), and the optional --trace-csv trace reads
-each column from the report array of the same name. Exit codes: 0 when every
-check in the run passed, 1 when a check failed, 2 on usage, parse, or input
-errors, a malformed spec file included. SEMIKRYLOV_SEED overrides the seed of
-a problem spec file; an explicit --seed flag overrides both.
+A report command (solve, diagnose, verify-bounds) decomposes A (for cg the
+eigendecomposition, which first checks that A is square and symmetric; else the
+SVD), reads the start along the matching axis of A, runs the solver and writes
+the JSON report atomically to --out (or to stdout); the optional --trace-csv
+trace reads each column from the report array of the same name. solve and
+verify-bounds take the oracle, axis and solver from the row of their --method
+in one method table; diagnose reads no row but calls symmetric_eig and cg_solve
+itself. Exit codes: 0 when every check passed, 1 when a check failed, 2 on
+usage, parse, or input errors, a malformed spec file included. SEMIKRYLOV_SEED
+overrides the seed of a problem spec file; a --seed flag overrides both.
 
 run_command may be called repeatedly in one process. The calls share one
 parser, built on the first call, and each call reads the environment

@@ -1,12 +1,14 @@
 """Print what the package's Matrix Market reader makes of a set of texts, as one JSON object.
 
 Run with ``PYTHONPATH=<tree>/src python tests/data/read_mtx_files.py``. The
-object maps a case name to the reader's outcome: ``<rows>x<cols> sha256:<hex>``
-of the matrix's bytes, or ``error: <message>``. The cases are:
+object maps a case name to ``{field: the reader's outcome}``, an outcome
+being ``<rows>x<cols> sha256:<hex>`` of the matrix's bytes, or ``error:
+<message>``. The cases are:
 
-- every text that ``write_mtx_files.py`` makes, under the same names;
-- ``<body>/<break>``: a malformed body with each line break that
-  ``str.splitlines`` knows, written as its ``repr``. The bodies are an
+- every text that ``write_mtx_files.py`` makes, under the same case and file
+  names;
+- ``<body>``: a malformed body with each line break that ``str.splitlines``
+  knows, the field named by the break's ``repr``. The bodies are an
   ``array`` text one entry short, one entry over, and with a bad last entry,
   and a ``coordinate symmetric`` text one entry short, with a repeated entry,
   and with an index out of range. Each spans two parse pieces and holds
@@ -61,10 +63,9 @@ def _outcome(text: str) -> str:
 
 
 def main() -> int:
-    outcomes = {name: _outcome(text) for name, text in mtx_texts().items()}
+    outcomes = {name: {file: _outcome(text) for file, text in files.items()} for name, files in mtx_texts().items()}
     for name, text in _bodies().items():
-        for end in BREAKS:
-            outcomes[f"{name}/{end!r}"] = _outcome(text.replace("\n", end))
+        outcomes[name] = {repr(end): _outcome(text.replace("\n", end)) for end in BREAKS}
     json.dump(outcomes, sys.stdout, indent=0)
     return 0
 

@@ -4,16 +4,21 @@ Run from anywhere with ``python tests/data/replay_krylov_traces.py --tree TREE
 --seeds 907 11 --cycles 12 > replay.jsonl``. The package is imported from
 ``TREE/src`` and the workload from ``TREE/bench/workloads.py`` (``--tree``
 defaults to this checkout). Per seed the workload is set up once and its first
-``--cycles`` cycles run. Each solver call is run again with ``record_trace=False``,
-a path no benchmark operation takes, and prints ``[solver, digest, stop reason,
-iterations]``; then each operation prints ``[seed, cycle, kind, digest, stop
-reason, iterations, passed]``, ``passed`` true when every verdict report passed.
-A digest is the sha256 of the protocol 4 pickle of ``(solver, trace)`` or of
-``(seed, cycle, kind, result)``: every ``SolveTrace`` field and report. No result
-is kept once its line is printed, so memory does not grow with the cycle count.
+``--cycles`` cycles run. A line reads ``[artifact, key, record]``. Each solver
+call is run again with ``record_trace=False``, a path no benchmark operation
+takes, and prints artifact ``unrecorded``, keyed ``[seed, cycle, kind, call]``
+by its operation and its place among that operation's calls. Then each
+operation prints artifact ``replay``, keyed ``[seed, cycle, kind]``. A record
+holds ``kind`` (the solver for a rerun), ``stop_reason``, ``iterations``, for
+an operation ``passed`` (every verdict report passed), and the digests of the
+whole result, ``result``, and of each dataclass field of its parts, named
+``<class>.<field>`` (``SolveTrace.x``, ``EquivalenceReport.deviations``, ...):
+the first 16 hex digits of the sha256 of the protocol 4 pickle. No result is
+kept once its line is printed, so memory does not grow with the cycle count.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import pickle
@@ -24,19 +29,28 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[2]
 
 
-def _digest(record) -> str:
-    return hashlib.sha256(pickle.dumps(record, protocol=4)).hexdigest()
+def _digest(value) -> str:
+    return hashlib.sha256(pickle.dumps(value, protocol=4)).hexdigest()[:16]
+
+
+def _print_row(artifact: str, key: list, kind: str, result: tuple, **extra) -> None:
+    fields = {f"{type(part).__name__}.{field.name}": _digest(getattr(part, field.name))
+              for part in result for field in dataclasses.fields(part)}
+    summary = {"kind": kind, "stop_reason": result[0].stop_reason, "iterations": result[0].iterations, **extra}
+    print(json.dumps([artifact, key, {**summary, "result": _digest(result), **fields}]))
 
 
 def replay(seeds: list[int], cycles: int) -> None:
     import workloads
     from semikrylov import solvers
 
+    running = [None, 0]  # the key of the operation being run and the solver calls it has made so far
+
     def rerun(solve):
         def call(a, b, start):
             trace = solve(a, b, start, solvers.SolverConfig(record_trace=False))
-            print(json.dumps([solve.__name__, _digest((solve.__name__, trace)), trace.stop_reason,
-                              trace.iterations]))
+            _print_row("unrecorded", [*running[0], running[1]], solve.__name__, (trace,))
+            running[1] += 1
             return solve(a, b, start)
         return call
 
@@ -48,9 +62,9 @@ def replay(seeds: list[int], cycles: int) -> None:
             state = workload.setup(seed, workdir)
         for index in range(cycles):
             for op in workload.cycle(state, index):
-                trace, *reports = result = op.run()
-                print(json.dumps([seed, index, op.kind, _digest((seed, index, op.kind, result)), trace.stop_reason,
-                                  trace.iterations, all(report.passed for report in reports)]))
+                running[:] = [seed, index, op.kind], 0
+                result = op.run()
+                _print_row("replay", running[0], op.kind, result, passed=all(report.passed for report in result[1:]))
 
 
 def main(argv=None) -> int:

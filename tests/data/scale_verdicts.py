@@ -2,8 +2,8 @@
 
 Run with ``PYTHONPATH=<tree>/src python tests/data/scale_verdicts.py``. For
 each of the four spec families of ``make_golden_reports.py`` (``spsd``,
-``gap``, ``tall`` and ``wide``) and each ``c`` in 1e-12, 1e-9, 1e-6, 1, 1e6
-and 1e12, the case ``<family>/<c>`` records, on ``(c A, c b)``:
+``gap``, ``tall`` and ``wide``) and each ``c`` in 1e-170, 1e-12, 1e-9, 1e-6,
+1, 1e6, 1e12 and 1e160, the case ``<family>/<c>`` records, on ``(c A, c b)``:
 
 - ``rank``: the numerical rank at the default ``rank_tol``, from the
   eigendecomposition for an spsd family and the SVD otherwise;
@@ -20,7 +20,8 @@ and 1e12, the case ``<family>/<c>`` records, on ``(c A, c b)``:
   (``max_null_drift`` for a consistent family, ``max_null_residual_drift``
   for ``gap``), the plain run's ``stop_reason`` and the eigenbasis run's
   ``decomposed_stop_reason`` of ``semikrylov diagnose --iters 6`` from a
-  zero start.
+  zero start; when ``diagnose`` exits 2 and writes no report, its exit code
+  and stderr instead.
 
 The spec of ``DIAGNOSED`` gets a case ``geom40/<c>`` of its own, with only
 the ``diagnose`` entry, run on ``(c A, c b)`` from the spec's start for
@@ -32,6 +33,8 @@ Every golden input is at unit scale, so this is what compares the scale
 behaviour of two checkouts (see ``compare_trees.py``).
 """
 
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -46,7 +49,7 @@ from semikrylov.mmio import save_matrix_market
 from semikrylov.oracle import consistency_check
 from semikrylov.solvers import cg_solve, cgls_solve, cgne_solve
 
-SCALES = (1e-12, 1e-9, 1e-6, 1.0, 1e6, 1e12)
+SCALES = (1e-170, 1e-12, 1e-9, 1e-6, 1.0, 1e6, 1e12, 1e160)
 SOLVERS = {"cg": cg_solve, "cgls": cgls_solve, "cgne": cgne_solve}
 DIAGNOSED = {
     "geom40": {"kind": "spsd", "dims": [40, 40], "spectrum": np.geomspace(1, 1 / 1.5, 30).tolist() + [0.0] * 10,
@@ -64,15 +67,18 @@ def _passes_symmetry(a) -> bool:
 
 def _diagnose(a, b, x0, iters: int) -> list:
     """[exit code, checks, max_deviation, iterations_compared, null drift, stop reason, decomposed
-    stop reason] of diagnose on (a, b)."""
+    stop reason] of diagnose on (a, b), or [exit code, stderr] when it exits 2."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         save_matrix_market(tmp / "a.mtx", a)
         save_matrix_market(tmp / "b.mtx", b.reshape(-1, 1))
         save_matrix_market(tmp / "x0.mtx", x0.reshape(-1, 1))
-        code = run_command(["diagnose", "--matrix", str(tmp / "a.mtx"), "--rhs", str(tmp / "b.mtx"),
-                            "--x0", f"file:{tmp / 'x0.mtx'}", "--iters", str(iters),
-                            "--out", str(tmp / "report.json")])
+        with contextlib.redirect_stderr(io.StringIO()) as stderr:
+            code = run_command(["diagnose", "--matrix", str(tmp / "a.mtx"), "--rhs", str(tmp / "b.mtx"),
+                                "--x0", f"file:{tmp / 'x0.mtx'}", "--iters", str(iters),
+                                "--out", str(tmp / "report.json")])
+        if code == 2:
+            return [code, stderr.getvalue().replace(str(tmp), "{tmp}")]
         report = json.loads((tmp / "report.json").read_text())
     found = report["diagnostics"]
     drift = found.get("max_null_drift", found.get("max_null_residual_drift"))
@@ -112,4 +118,6 @@ def scale_verdicts() -> dict:
 
 
 if __name__ == "__main__":
-    print(json.dumps(scale_verdicts(), indent=1, sort_keys=True))
+    # overflow and 0/0 are outcomes at the extreme scales; their warnings would reach diagnose's stderr
+    with np.errstate(all="ignore"):
+        print(json.dumps(scale_verdicts(), indent=1, sort_keys=True))

@@ -1,14 +1,14 @@
 """Print the Matrix Market text the package writes, as one JSON object.
 
 Run with ``PYTHONPATH=<tree>/src python tests/data/write_mtx_files.py``. The
-object maps a name to the exact text of a file:
+object maps a case name to ``{file name: the exact text of the file}``:
 
-- ``spsd-<n>/<file>.mtx``: every ``.mtx`` file that ``semikrylov generate``
-  writes for an spsd spec at n = 1, 2, 63, 64, 65 and 400, whose matrices are
-  symmetric bit for bit;
-- ``rectangular/<file>.mtx``: the same for one 70 x 60 rectangular spec;
-- ``signed-zero.mtx``: ``save_matrix_market`` of a symmetric 70 x 70 matrix
-  except for one 0.0 mirrored by a -0.0.
+- ``spsd-<n>``: every ``.mtx`` file that ``semikrylov generate`` writes for
+  an spsd spec at n = 1, 2, 63, 64, 65 and 400, whose matrices are symmetric
+  bit for bit;
+- ``rectangular``: the same for one 70 x 60 rectangular spec;
+- ``signed-zero``: ``signed-zero.mtx``, ``save_matrix_market`` of a
+  symmetric 70 x 70 matrix except for one 0.0 mirrored by a -0.0.
 
 The golden reports leave the ``.mtx`` files out, so this is what compares the
 writer's bytes across two checkouts (see ``compare_trees.py``).
@@ -38,7 +38,7 @@ SPECS["rectangular"] = {"kind": "rectangular", "dims": [70, 60], "spectrum": _sp
 
 
 def mtx_texts() -> dict:
-    """{name: text} of every file listed above."""
+    """{case: {file name: text}} of every file listed above."""
     texts = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, spec in SPECS.items():
@@ -48,13 +48,12 @@ def mtx_texts() -> dict:
                 code = run_command(["generate", "--spec", str(spec_path), "--out-dir", str(out_dir)])
             if code != 0:
                 raise SystemExit(f"generate exited {code} for {name}")
-            for path in sorted(out_dir.glob("*.mtx")):
-                texts[f"{name}/{path.name}"] = path.read_text(encoding="ascii")
+            texts[name] = {path.name: path.read_text(encoding="ascii") for path in sorted(out_dir.glob("*.mtx"))}
         a = np.random.default_rng(1671).normal(size=(70, 70))
         a = a + a.T
         a[40, 3], a[3, 40] = 0.0, -0.0
         save_matrix_market(Path(tmp, "signed-zero.mtx"), a)
-        texts["signed-zero.mtx"] = Path(tmp, "signed-zero.mtx").read_text(encoding="ascii")
+        texts["signed-zero"] = {"signed-zero.mtx": Path(tmp, "signed-zero.mtx").read_text(encoding="ascii")}
     return texts
 
 

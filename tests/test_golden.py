@@ -96,18 +96,23 @@ def _replay(*argv):
 
 
 def test_krylov_traces_replay_is_deterministic():
-    """One cycle of the replay tool, twice: the same bytes, one row per operation after its solver's rerun."""
+    """One cycle of the replay tool, twice: the same bytes, and each operation's row after its solver's rerun,
+    which carries the operation's key and its place among the operation's calls."""
     first, second = (subprocess.run(_replay("--cycles", "1"), capture_output=True, check=True).stdout
                      for _ in range(2))
     assert first == second
     rows = [json.loads(line) for line in first.splitlines()]
-    assert [row[0] for row in rows[0::2]] == ["cg_solve", "cg_solve", "cgls_solve", "cgls_solve", "cgne_solve"]
-    records = rows[1::2]
-    assert [kind for _, _, kind, *_ in records] == [
-        "cg_consistent", "cg_inconsistent", "cgls_consistent", "cgls_inconsistent", "cgne"]
-    assert all(seed == 907 and cycle == 0 for seed, cycle, *_ in records)
-    *_, stop_reason, _, passed = records[0]
-    assert stop_reason == "converged" and passed
+    assert [artifact for artifact, _, _ in rows] == ["unrecorded", "replay"] * 5
+    reruns, ops = rows[0::2], rows[1::2]
+    assert [key for _, key, _ in ops] == [
+        [907, 0, kind] for kind in ("cg_consistent", "cg_inconsistent", "cgls_consistent", "cgls_inconsistent", "cgne")]
+    assert [key for _, key, _ in reruns] == [[*key, 0] for _, key, _ in ops]
+    assert [record["kind"] for _, _, record in reruns] == [
+        "cg_solve", "cg_solve", "cgls_solve", "cgls_solve", "cgne_solve"]
+    record = ops[0][2]
+    assert record["kind"] == "cg_consistent" and record["stop_reason"] == "converged" and record["passed"]
+    assert {"result", "SolveTrace.x", "EquivalenceReport.deviations", "BoundReport.violations"} <= record.keys()
+    assert all(len(record[name]) == 16 for name in record if name == "result" or "." in name)
 
 
 def _peak_mb(argv) -> float:
@@ -126,31 +131,35 @@ def test_replay_memory_does_not_grow_with_cycles():
     assert _peak_mb(_replay("--cycles", "20")) - _peak_mb(_replay("--cycles", "2")) < 2.8
 
 
-def test_compare_trees_pairs_records_by_key():
-    """A record found in one tree only is named and counted as differing, and no other record is blamed."""
-    def row(kind, digest, iterations=10):
-        return [kind, digest, "converged", iterations, True]
+def test_compare_trees_names_the_fields_that_differ_in_each_key():
+    """A changed field, a field of one tree only and a key of one tree only are named; a NaN read from JSON
+    equals itself, so a key whose only float is NaN is not."""
+    old = json.loads('{"a": {"exit": 0, "stdout": "x"}, "b": {"exit": 1, "report.error": NaN}, "c": {"exit": 0}}')
+    new = json.loads('{"b": {"exit": 1, "report.error": NaN}, "a": {"exit": 1, "stdout": "x", "--out": "{}"},'
+                     ' "d": {"exit": 2}}')
+    assert compare_trees._diff(compare_trees._pairs(old.items(), new.items())) == [
+        "a: --out (change only), exit", "c: (parent only)", "d: (change only)"]
+    assert compare_trees._diff(compare_trees._pairs(old.items(), old.items())) == []
 
-    old = {(907, 0, "cg"): row("cg", "a"), (907, 1, "cg"): row("cg", "b"), (907, 1, "cgne"): row("cgne", "c")}
-    new = {(907, 1, "cg"): row("cg", "b"), (907, 1, "cgne"): row("cgne", "d", 8), (907, 2, "cgls"): row("cgls", "e")}
-    assert compare_trees._kinds(old, new) == [
-        "cg: 1 of 2 records differ; stop reasons converged x2 / converged x1; iterations 20 / 10",
-        "cgls: 1 of 1 records differ; stop reasons none / converged x1; iterations 0 / 10",
-        "cgne: 1 of 1 records differ; stop reasons converged x1 / converged x1; iterations 10 / 8",
-        "only in parent: 907/0/cg",
-        "only in change: 907/2/cgls",
+
+def test_compare_trees_sums_up_each_kind():
+    """Per kind: its count of differing records, each tree's stop reasons and iteration total, and the fields
+    that differ in it, records paired by key whatever their order; the digest of a whole result is named only
+    when none of its fields differs."""
+    def row(seed, cycle, kind, iterations, result, x, reason="converged"):
+        return (seed, cycle, kind), {"kind": kind, "stop_reason": reason, "iterations": iterations,
+                                     "result": result, "SolveTrace.x": x}
+
+    old = [row(907, 0, "cg", 10, "r0", "a"), row(907, 1, "cg", 12, "r1", "b"), row(907, 1, "cgne", 7, "r2", "c")]
+    new = [row(907, 1, "cgne", 7, "r3", "c"), row(907, 2, "cgls", 5, "r4", "d", "breakdown"),
+           row(907, 1, "cg", 9, "r5", "e"), row(907, 0, "cg", 10, "r0", "a")]
+    assert compare_trees._diff(compare_trees._pairs(iter(old), iter(new)), by_kind=True) == [
+        "cg: 1 of 2 records differ; stop reasons converged x2 / converged x2; iterations 22 / 19;"
+        " fields SolveTrace.x, iterations",
+        "cgls: 1 of 1 records differ; stop reasons none / breakdown x1; iterations 0 / 5; fields (change only)",
+        "cgne: 1 of 1 records differ; stop reasons converged x1 / converged x1; iterations 7 / 7; fields result",
     ]
-    assert compare_trees._kinds(old, old) == []
-
-
-def test_compare_trees_keys_each_rerun_by_the_operation_after_it(tmp_path):
-    rows = tmp_path / "rows"
-    rows.write_text("\n".join(json.dumps(row) for row in (
-        ["cg_solve", "a", "converged", 9], [907, 0, "cg", "b", "converged", 9, True],
-        ["cgne_solve", "c", "breakdown", 4], [907, 1, "cgne", "d", "breakdown", 4, False])) + "\n")
-    assert compare_trees._rows(rows) == (
-        {(907, 0, "cg"): ["cg", "b", "converged", 9, True], (907, 1, "cgne"): ["cgne", "d", "breakdown", 4, False]},
-        {(907, 0, "cg", 0): ["cg_solve", "a", "converged", 9], (907, 1, "cgne", 0): ["cgne_solve", "c", "breakdown", 4]})
+    assert compare_trees._diff(compare_trees._pairs(iter(old), iter(old)), by_kind=True) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -176,12 +185,25 @@ def test_loop_step_times_compares_a_checkout_with_itself(tmp_path):
         assert done.returncode == 2 and message in done.stderr and not done.stdout
 
 
+def _copy_with(root, copy, path, line, new_line):
+    """A copy of the checkout's src and bench in which ``path`` has ``new_line`` for its one ``line``."""
+    for part in ("src", "bench"):
+        shutil.copytree(root / part, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
+    return _replace_line(copy, path, line, new_line)
+
+
+def _replace_line(copy, path, line, new_line):
+    text = (copy / path).read_text()
+    assert text.count(line) == 1
+    (copy / path).write_text(text.replace(line, new_line))
+    return copy
+
+
 def test_compare_trees_finds_a_changed_golden_output(tmp_path):
-    """The checkout against itself, then against a copy with one changed line that alters reports,
-    then with a second that shortens the solver runs."""
+    """The checkout against itself, then against copies with changed lines: a zero oracle tolerance, then also
+    a looser default stop; and, in a copy of its own, a report field with a default."""
     root = DATA.parent.parent
-    artifacts = ["golden", "text", "replay", "unrecorded", "mtx", "read", "scale", "api", "help solve",
-                 "help diagnose", "help verify-bounds", "help generate"]
+    artifacts = ["cli", "replay", "unrecorded", "mtx", "read", "scale", "api", "help"]
 
     def compare(change):
         argv = [sys.executable, str(DATA / "compare_trees.py"), str(root), str(change),
@@ -190,34 +212,37 @@ def test_compare_trees_finds_a_changed_golden_output(tmp_path):
         return done.returncode, done.stdout.splitlines()
 
     assert compare(root) == (0, [f"{name}: equal" for name in artifacts])
-    copy = tmp_path / "copy"
-    for part in ("src", "bench"):
-        shutil.copytree(root / part, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
-    cli_py = copy / "src" / "semikrylov" / "cli.py"
-    line = "\nORACLE_MATCH_TOL = 1e-6\n"
-    assert cli_py.read_text().count(line) == 1
-    # with a zero tolerance no solve report matches the oracle
-    cli_py.write_text(cli_py.read_text().replace(line, "\nORACLE_MATCH_TOL = 0.0\n"))
-    code, lines = compare(copy)
-    assert code == 1
-    assert lines[0] == "golden: differs"
-    assert lines[1].startswith("  cases: solve_cg, ")
-    # the report files that golden compares parsed differ as text too; no CSV trace changes
-    assert lines[2] == "text: differs"
-    assert lines[3].startswith("  cases: solve_cg (--out), ") and "csv" not in lines[3]
-    assert lines[4:] == [f"{name}: equal" for name in artifacts[2:]]
+    # with a zero tolerance no solve report matches the oracle: its exit code, checks and verdict move, and so
+    # does the report file's text; no CSV trace changes
+    copy = _copy_with(root, tmp_path / "copy", "src/semikrylov/cli.py", "\nORACLE_MATCH_TOL = 1e-6\n",
+                      "\nORACLE_MATCH_TOL = 0.0\n")
+    cases = ["solve_cg", "solve_cg_tols_stdout", "solve_cg_x0_file", "solve_cgls", "solve_cgls_wide_stdout",
+             "solve_cgne"]
+    assert compare(copy) == (1, ["cli: differs"] + [
+        f"  {case}: {'' if 'stdout' in case else '--out, '}exit, report.checks, report.passed" for case in cases
+    ] + [f"{name}: equal" for name in artifacts[1:]])
 
     # a looser default stop: the krylov_traces solves that converge do so sooner
-    solvers_py = copy / "src" / "semikrylov" / "solvers.py"
-    line = "    rel_tol: float = 1e-12\n"
-    assert solvers_py.read_text().count(line) == 1
-    solvers_py.write_text(solvers_py.read_text().replace(line, "    rel_tol: float = 1e-6\n"))
+    _replace_line(copy, "src/semikrylov/solvers.py", "    rel_tol: float = 1e-12\n", "    rel_tol: float = 1e-6\n")
     code, lines = compare(copy)
     assert code == 1
-    replay, unrecorded = lines.index("replay: differs"), lines.index("unrecorded: differs")
+    replay, unrecorded, mtx = map(lines.index, ("replay: differs", "unrecorded: differs", "mtx: equal"))
     assert lines[unrecorded + 1].startswith("  cg_solve: ")
-    pattern = r"  (\w+): \d+ of \d+ records differ; stop reasons (.+) / (.+); iterations (\d+) / (\d+)"
-    kinds = [re.fullmatch(pattern, line) for line in lines[replay + 1:unrecorded]]
+    pattern = r"  (\w+): \d+ of \d+ records differ; stop reasons (.+) / (.+); iterations (\d+) / (\d+); fields (.+)"
+    kinds = [re.fullmatch(pattern, line) for line in lines[replay + 1:unrecorded] + lines[unrecorded + 1:mtx]]
     assert "cg_consistent" in [kind[1] for kind in kinds if kind]
     for kind in kinds:
         assert kind and kind[2] == kind[3] and int(kind[5]) < int(kind[4]), kind
+        assert {"SolveTrace.x", "iterations"} <= set(kind[6].split(", ")), kind
+
+    # a new report field with a default: the cg results name it alone, and the API names its class
+    copy = _copy_with(root, tmp_path / "field", "src/semikrylov/decomposition.py",
+                      "    deviations: dict[str, float] = field(default_factory=dict)\n",
+                      "    deviations: dict[str, float] = field(default_factory=dict)\n    note: str = \"\"\n")
+    code, lines = compare(copy)
+    assert code == 1 and lines[:2] == ["cli: equal", "replay: differs"]
+    for line, kind in zip(lines[2:4], ("cg_consistent", "cg_inconsistent")):
+        pattern = rf"  {kind}: 1 of 1 records differ; stop reasons (\w+ x1) / \1; iterations (\d+) / \2;"
+        assert re.fullmatch(pattern + r" fields EquivalenceReport\.note \(change only\)", line), line
+    assert lines[4:] == [f"{name}: equal" for name in artifacts[2:6]] + [
+        "api: differs", "  EquivalenceReport: fields, members", "help: equal"]
