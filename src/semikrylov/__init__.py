@@ -9,6 +9,8 @@ verify minimum-norm convergence, null-space stagnation and confinement,
 and geometric energy-norm bounds.
 """
 
+from types import ModuleType as _Module
+
 from .bounds import BoundReport, cg_bound_verify, cgls_bound_verify, cgne_bound_verify
 from .decomposition import (
     ConfinementReport,
@@ -50,49 +52,8 @@ from .oracle import (
 from .report import RunReport
 from .solvers import SolveTrace, SolverConfig, cg_solve, cgls_solve, cgne_solve
 
-__all__ = [
-    "BoundReport",
-    "ConfinementReport",
-    "ConsistencyReport",
-    "ConvergenceError",
-    "DEFAULT_RANK_TOL",
-    "DecomposedTrace",
-    "EquivalenceReport",
-    "GeneratedProblem",
-    "MatrixMarketError",
-    "ProblemSpec",
-    "RunReport",
-    "SingularDecomposition",
-    "SolveTrace",
-    "SolverConfig",
-    "SpectralDecomposition",
-    "SplitVector",
-    "as_matrix",
-    "as_vector",
-    "cg_bound_verify",
-    "cg_solve",
-    "cgls_bound_verify",
-    "cgls_solve",
-    "cgne_bound_verify",
-    "cgne_solve",
-    "consistency_check",
-    "decomposed_cg_run",
-    "equivalence_check",
-    "load_matrix_market",
-    "make_problem",
-    "matvec",
-    "null_direction_confinement",
-    "pinv_apply_rect",
-    "pseudoinverse_apply",
-    "pseudoinverse_matrix",
-    "random_orthogonal",
-    "read_matrix_market",
-    "save_matrix_market",
-    "split",
-    "svd",
-    "symmetric_eig",
-    "unsplit",
-    "write_matrix_market",
-]
+# the public names are the ones imported above: every name bound here that is neither private nor a submodule
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _Module))
 
 __version__ = "0.1.0"

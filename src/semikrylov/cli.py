@@ -6,8 +6,8 @@ SVD), reads the start along the matching axis of A, runs the solver and writes
 the JSON report atomically to --out (or to stdout); the optional --trace-csv
 trace reads each column from the report array of the same name. solve and
 verify-bounds take the oracle, axis and solver from the row of their --method
-in one method table; diagnose reads no row but calls symmetric_eig and cg_solve
-itself. Exit codes: 0 when every check passed, 1 when a check failed, 2 on
+in one method table; diagnose takes them from the cg row, its checks being
+cg's own. Exit codes: 0 when every check passed, 1 when a check failed, 2 on
 usage, parse, or input errors, a malformed spec file included. SEMIKRYLOV_SEED
 overrides the seed of a problem spec file; a --seed flag overrides both.
 
@@ -191,11 +191,12 @@ def _cmd_diagnose(args) -> int:
     _check_count("--iters", args.iters, 1)
     a = _load_matrix(args.matrix)
     b = _load_vector(args.rhs)
-    decomp = symmetric_eig(a, args.rank_tol)
+    row = _methods()["cg"]
+    decomp = row.oracle(a, args.rank_tol)
     if decomp.rank == 0:
         raise ValueError(f"numerical rank is 0 at --rank-tol {args.rank_tol}: nothing to compare")
-    x0 = _x0_from_flag(args.x0, decomp.dim)
-    trace = cg_solve(a, b, x0, SolverConfig(max_iters=args.iters))
+    x0 = _x0_from_flag(args.x0, a.shape[row.start_axis])
+    trace = row.solver(a, b, x0, SolverConfig(max_iters=args.iters))
     dtrace = decomposed_cg_run(decomp, b, x0, args.iters)
     equivalence = equivalence_check(trace, dtrace, decomp, args.tol)
     cons = consistency_check(decomp, b)

@@ -24,8 +24,8 @@ named fields:
   problems scaled by 1e-170 to 1e160, and ``diagnose``'s outcome at full
   length on one scaled 40 x 40 problem whose last steps are at rounding level;
 - ``api``: for every name in ``semikrylov.__all__``, the signature of a
-  function, the dataclass fields and public member names of a class, or the
-  value of a constant;
+  function, the dataclass fields with their defaults and the public member
+  names of a class, or the value of a constant;
 - ``help``: ``semikrylov <command> -h`` for each of the four commands at 80
   columns, a field per entry (``usage``, ``options``, ``--method``, ...).
 
@@ -65,13 +65,18 @@ print(json.dumps(texts))
 """
 
 # prints {name: {"signature"} of a function, {"fields", "members"} of a class, {"value"} of a constant}
-# for every name in semikrylov.__all__, as JSON
+# for every name in semikrylov.__all__, as JSON; a dataclass field reads "name", "name=<default repr>" or
+# "name=<factory>"
 API = """import dataclasses, inspect, json, semikrylov
+def field(f):
+    if f.default is not dataclasses.MISSING:
+        return f"{f.name}={f.default!r}"
+    return f.name if f.default_factory is dataclasses.MISSING else f"{f.name}=<factory>"
 api = {}
 for name in semikrylov.__all__:
     obj = getattr(semikrylov, name)
     if inspect.isclass(obj):
-        fields = [f.name for f in dataclasses.fields(obj)] if dataclasses.is_dataclass(obj) else []
+        fields = [field(f) for f in dataclasses.fields(obj)] if dataclasses.is_dataclass(obj) else []
         api[name] = {"fields": fields, "members": sorted(m for m in dir(obj) if not m.startswith("_"))}
     else:
         api[name] = {"signature": str(inspect.signature(obj))} if callable(obj) else {"value": repr(obj)}
@@ -100,7 +105,7 @@ def _pairs(old, new):
 
 def _fields(old: dict, new: dict) -> list:
     """The fields that differ between two records, sorted, a field of one record only marked as such.
-    ``result``, the digest of a whole replay result, is named only when no field of it differs."""
+    ``result``, a replay result's digest of its field digests in order, is named only when no field differs."""
     # compared inside a list, where a NaN equals itself: json.loads reads every NaN as one object
     names = [name if name in old and name in new else f"{name} ({'parent' if name in old else 'change'} only)"
              for name in sorted(old.keys() | new.keys())

@@ -10,11 +10,12 @@ takes, and prints artifact ``unrecorded``, keyed ``[seed, cycle, kind, call]``
 by its operation and its place among that operation's calls. Then each
 operation prints artifact ``replay``, keyed ``[seed, cycle, kind]``. A record
 holds ``kind`` (the solver for a rerun), ``stop_reason``, ``iterations``, for
-an operation ``passed`` (every verdict report passed), and the digests of the
-whole result, ``result``, and of each dataclass field of its parts, named
-``<class>.<field>`` (``SolveTrace.x``, ``EquivalenceReport.deviations``, ...):
-the first 16 hex digits of the sha256 of the protocol 4 pickle. No result is
-kept once its line is printed, so memory does not grow with the cycle count.
+an operation ``passed`` (every verdict report passed), the digest of each
+dataclass field of its parts, named ``<class>.<field>`` (``SolveTrace.x``,
+``EquivalenceReport.deviations``, ...), and ``result``, the digest of those
+names and digests, so each array is hashed once. A digest is the first 16 hex
+digits of the sha256 of the protocol 4 pickle. No result is kept once its
+line is printed, so memory does not grow with the cycle count.
 """
 
 import argparse
@@ -37,7 +38,7 @@ def _print_row(artifact: str, key: list, kind: str, result: tuple, **extra) -> N
     fields = {f"{type(part).__name__}.{field.name}": _digest(getattr(part, field.name))
               for part in result for field in dataclasses.fields(part)}
     summary = {"kind": kind, "stop_reason": result[0].stop_reason, "iterations": result[0].iterations, **extra}
-    print(json.dumps([artifact, key, {**summary, "result": _digest(result), **fields}]))
+    print(json.dumps([artifact, key, {**summary, "result": _digest(fields), **fields}]))
 
 
 def replay(seeds: list[int], cycles: int) -> None:

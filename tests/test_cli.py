@@ -325,6 +325,17 @@ class TestDiagnoseCommand:
         assert "numerical rank is 0 at --rank-tol 10" in capsys.readouterr().err
         assert not (tmp_path / "diag.json").exists()
 
+    def test_rank_cut_is_reported_before_an_x0_of_the_wrong_length(self, spsd_problem, capsys):
+        tmp_path, _, _ = spsd_problem
+        save_matrix_market(tmp_path / "x0.mtx", np.ones((5, 1)))
+        code = run_command([
+            "diagnose", "--matrix", str(tmp_path / "a.mtx"), "--rhs", str(tmp_path / "b.mtx"),
+            "--x0", f"file:{tmp_path / 'x0.mtx'}", "--iters", "8", "--rank-tol", "10",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: numerical rank is 0 at --rank-tol 10.0: nothing to compare\n")
+
     @pytest.mark.parametrize("iters", ["0", "-3"])
     def test_iters_below_one_exits_2_before_any_file_is_read(self, tmp_path, capsys, iters):
         missing = str(tmp_path / "missing.mtx")

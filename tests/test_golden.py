@@ -201,7 +201,8 @@ def _replace_line(copy, path, line, new_line):
 
 def test_compare_trees_finds_a_changed_golden_output(tmp_path):
     """The checkout against itself, then against copies with changed lines: a zero oracle tolerance, then also
-    a looser default stop; and, in a copy of its own, a report field with a default."""
+    a looser default stop, which the API names as a changed dataclass default; and, in a copy of its own, a
+    report field with a default."""
     root = DATA.parent.parent
     artifacts = ["cli", "replay", "unrecorded", "mtx", "read", "scale", "api", "help"]
 
@@ -222,10 +223,11 @@ def test_compare_trees_finds_a_changed_golden_output(tmp_path):
         f"  {case}: {'' if 'stdout' in case else '--out, '}exit, report.checks, report.passed" for case in cases
     ] + [f"{name}: equal" for name in artifacts[1:]])
 
-    # a looser default stop: the krylov_traces solves that converge do so sooner
+    # a looser default stop: the krylov_traces solves that converge do so sooner, and the API names the default
     _replace_line(copy, "src/semikrylov/solvers.py", "    rel_tol: float = 1e-12\n", "    rel_tol: float = 1e-6\n")
     code, lines = compare(copy)
     assert code == 1
+    assert lines[lines.index("api: differs"):] == ["api: differs", "  SolverConfig: fields", "help: equal"]
     replay, unrecorded, mtx = map(lines.index, ("replay: differs", "unrecorded: differs", "mtx: equal"))
     assert lines[unrecorded + 1].startswith("  cg_solve: ")
     pattern = r"  (\w+): \d+ of \d+ records differ; stop reasons (.+) / (.+); iterations (\d+) / (\d+); fields (.+)"
